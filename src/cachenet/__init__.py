@@ -21,7 +21,7 @@ from .optimizer import (
     exact_solve,
     greedy_solve,
     local_search,
-    nearest_copy_assignment,
+    nearest_copy,
     solve,
 )
 from .simnet import (

@@ -3,7 +3,9 @@ and emit per-run and summary CSVs.
 
 A sweep spec is a flat JSON object; ``sweep`` names the swept field
 (``cache_fraction`` or ``alpha``), ``values`` its grid, and the remaining
-keys fill in the fixed simulation parameters.
+keys fill in the fixed simulation parameters: any ``SimConfig`` field other
+than ``scheme``, ``seed`` and ``deterministic``, defaulting as in
+``SimConfig``.
 """
 
 from __future__ import annotations
@@ -49,28 +51,11 @@ class ExperimentSpec:
     schemes: list
     seeds: list
     output_path: str = "results"
-    nodes: int = 64
-    objects: int = 200
-    alpha: float = 0.8
-    cache_fraction: float = 0.05
-    m_attach: int = 2
-    origin_penalty: int = 3
-    per_node_rate: float = 1.0
-    requests_per_epoch: int = 10_000
-    epochs: int = 12
-    warmup_epochs: int = 2
-    smoothing: float = 1.0
+    fixed: dict = field(default_factory=dict)  # SimConfig fields held constant
 
-    def config_for(self, value: float, scheme: Scheme, seed: int) -> SimConfig:
-        params = dict(
-            scheme=scheme, nodes=self.nodes, objects=self.objects, alpha=self.alpha,
-            m_attach=self.m_attach, origin_penalty=self.origin_penalty,
-            per_node_rate=self.per_node_rate, cache_fraction=self.cache_fraction,
-            requests_per_epoch=self.requests_per_epoch, epochs=self.epochs,
-            warmup_epochs=self.warmup_epochs, seed=seed, smoothing=self.smoothing,
-        )
-        params[self.sweep_variable] = value
-        return SimConfig(**params)
+    def config(self, value: float, scheme: Scheme, seed: int) -> SimConfig:
+        """The simulation of one sweep cell."""
+        return SimConfig(scheme=scheme, seed=seed, **{**self.fixed, self.sweep_variable: value})
 
 
 _SPEC_KEYS = {
@@ -80,6 +65,20 @@ _SPEC_KEYS = {
     "seeds": "seeds",
     "output": "output_path",
 }
+_AXES = frozenset(_SPEC_KEYS.values())
+FIXED_FIELDS = tuple(f.name for f in fields(SimConfig) if f.name not in ("scheme", "seed", "deterministic"))
+
+
+def _unknown(params: dict) -> list:
+    return [k for k in params if k not in _AXES and k not in FIXED_FIELDS]
+
+
+def _make_spec(params: dict) -> ExperimentSpec:
+    """Spec from a flat dict of axis names and fixed SimConfig fields."""
+    if _unknown(params):
+        raise TypeError(f"unknown sweep spec fields: {_unknown(params)}")
+    return ExperimentSpec(**{k: v for k, v in params.items() if k in _AXES},
+                          fixed={k: v for k, v in params.items() if k not in _AXES})
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -94,24 +93,17 @@ def load_spec(path) -> ExperimentSpec:
 
 
 def spec_from_dict(raw: dict) -> ExperimentSpec:
-    diagnostics = []
-    known = {f.name for f in fields(ExperimentSpec)}
-    kwargs = {}
-    for key, value in raw.items():
-        name = _SPEC_KEYS.get(key, key)
-        if name not in known:
-            diagnostics.append(f"unknown field: {key}")
-        else:
-            kwargs[name] = value
-    if "sweep_variable" not in kwargs:
+    params = {_SPEC_KEYS.get(key, key): value for key, value in raw.items()}
+    diagnostics = [f"unknown field: {k}" for k in _unknown(params)]
+    if "sweep_variable" not in params:
         diagnostics.append("missing field: sweep")
     if diagnostics:
         raise ConfigError(diagnostics)
-    kwargs.setdefault("sweep_values", [])
-    kwargs.setdefault("schemes", [s.value for s in Scheme])
-    kwargs.setdefault("seeds", [0])
-    kwargs["sweep_variable"] = str(kwargs["sweep_variable"]).lower()
-    spec = ExperimentSpec(**kwargs)
+    params.setdefault("sweep_values", [])
+    params.setdefault("schemes", [s.value for s in Scheme])
+    params.setdefault("seeds", [0])
+    params["sweep_variable"] = str(params["sweep_variable"]).lower()
+    spec = _make_spec(params)
     diagnostics = validate_spec(spec)
     if diagnostics:
         raise ConfigError(diagnostics)
@@ -146,17 +138,16 @@ def validate_spec(spec: ExperimentSpec) -> list:
         for scheme in spec.schemes:
             scheme = Scheme(scheme) if isinstance(scheme, str) else scheme
             try:
-                spec.config_for(value, scheme, spec.seeds[0])
+                spec.config(value, scheme, spec.seeds[0])
             except ValueError as exc:
                 diags.append(f"{spec.sweep_variable}={value}, scheme={scheme.value}: {exc}")
     return diags
 
 
-def _run_cell(args):
-    spec_kwargs, value, scheme_name, seed = args
-    spec = ExperimentSpec(**spec_kwargs)
-    report = run_simulation(spec.config_for(value, Scheme(scheme_name), seed))
-    return [value, scheme_name, seed, report.avg_hops, report.hit_ratio, report.total_requests]
+def _run_cell(cell):
+    value, config = cell
+    report = run_simulation(config)
+    return [value, config.scheme.value, config.seed, report.avg_hops, report.hit_ratio, report.total_requests]
 
 
 def summarize_rows(rows: list) -> list:
@@ -192,9 +183,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1, seed_override=None,
     seeds = [seed_override] if seed_override is not None else list(spec.seeds)
     out_dir = output_dir if output_dir is not None else spec.output_path
     os.makedirs(out_dir, exist_ok=True)
-    spec_kwargs = {f.name: getattr(spec, f.name) for f in fields(spec)}
-    spec_kwargs["schemes"] = [s.value if isinstance(s, Scheme) else s for s in spec.schemes]
-    cells = [(spec_kwargs, value, (s.value if isinstance(s, Scheme) else s), seed)
+    cells = [(value, spec.config(value, s, seed))
              for value in spec.sweep_values
              for s in spec.schemes
              for seed in seeds]
@@ -221,7 +210,7 @@ def cache_size_sweep_spec(**overrides) -> ExperimentSpec:
         alpha=0.8, nodes=64, objects=200,
     )
     params.update(overrides)
-    return ExperimentSpec(**params)
+    return _make_spec(params)
 
 
 def alpha_sweep_spec(**overrides) -> ExperimentSpec:
@@ -235,7 +224,7 @@ def alpha_sweep_spec(**overrides) -> ExperimentSpec:
         cache_fraction=0.05, nodes=64, objects=200,
     )
     params.update(overrides)
-    return ExperimentSpec(**params)
+    return _make_spec(params)
 
 
 def demo_spec(**overrides) -> ExperimentSpec:
@@ -249,4 +238,4 @@ def demo_spec(**overrides) -> ExperimentSpec:
         output_path="demo_results",
     )
     params.update(overrides)
-    return ExperimentSpec(**params)
+    return _make_spec(params)

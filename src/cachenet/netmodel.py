@@ -152,33 +152,25 @@ def all_pairs_hops(node_count: int, edges) -> np.ndarray:
     return hop
 
 
-def bfs_next_hop(node_count: int, edges) -> np.ndarray:
+def bfs_next_hop(hop_matrix: np.ndarray, edges) -> np.ndarray:
     """next_hop[s, t] = first router on a shortest path from s to t.
 
-    Deterministic: BFS expands neighbors in ascending index order, so the
-    returned tree is the lexicographically first shortest-path tree.
-    next_hop[s, s] = s.
+    Deterministic: the lowest-index neighbor u of s with
+    hop[u, t] == hop[s, t] - 1, which is the first hop in the BFS tree that
+    expands neighbors in ascending index order. next_hop[s, s] = s.
     """
+    node_count = len(hop_matrix)
     adj = _adjacency(node_count, edges)
     nxt = np.empty((node_count, node_count), dtype=int)
     for s in range(node_count):
-        parent = np.full(node_count, -1, dtype=int)
-        parent[s] = s
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if parent[v] < 0:
-                    parent[v] = u
-                    queue.append(v)
-        # walk parents to recover the first hop out of s
-        for t in range(node_count):
-            if parent[t] < 0:
-                raise DisconnectedGraphError(f"node {s} cannot reach node {t}")
-            u = t
-            while parent[u] != s:
-                u = parent[u]
-            nxt[s, t] = u if t != s else s
+        nbrs = np.array(adj[s], dtype=int)
+        closer = hop_matrix[nbrs] == hop_matrix[s] - 1  # closer[a, t]: nbrs[a] is one hop nearer t
+        reached = closer.any(axis=0)
+        reached[s] = True
+        if not reached.all():
+            raise DisconnectedGraphError(f"node {s} cannot reach every node")
+        nxt[s] = nbrs[closer.argmax(axis=0)] if nbrs.size else s  # argmax takes the lowest index
+        nxt[s, s] = s
     return nxt
 
 

@@ -15,7 +15,6 @@ import csv
 import hashlib
 import heapq
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +29,7 @@ __all__ = [
     "SolveResult",
     "FeasibilityReport",
     "InstanceTooLargeError",
-    "nearest_copy_assignment",
-    "service_distances",
+    "nearest_copy",
     "evaluate_objective",
     "average_hops",
     "check_feasibility",
@@ -130,39 +128,31 @@ class SolveResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def nearest_copy_assignment(placement: Placement, instance: Instance) -> Assignment:
-    """Assign every (node, object) to its closest copy.
+def nearest_copy(x: np.ndarray, instance: Instance, supplier: bool = False):
+    """dist[i, k] = hops from router i to the nearest copy of object k in ``x``,
+    the origin included.
 
-    Ties break toward the lowest router index, and a router beats the
-    origin at equal distance.
+    With ``supplier=True`` also returns supplier[i, k], the router that
+    serves it or ORIGIN. A router beats the origin at equal distance, and
+    the lowest router index wins among equal routers.
     """
-    hop = instance.topology.hop_matrix
+    hop = instance.topology.hop_matrix  # symmetric: gather holder rows, faster than columns
     dorg = instance.topology.origin_distances
-    n, m = instance.n, instance.m
-    supplier = np.full((n, m), ORIGIN, dtype=int)
-    for k in range(m):
-        holders = np.flatnonzero(placement.x[:, k])
-        if holders.size == 0:
-            continue
-        dists = hop[:, holders]
-        best = np.argmin(dists, axis=1)  # argmin keeps the lowest holder index
-        best_dist = dists[np.arange(n), best]
-        use_router = best_dist <= dorg
-        supplier[use_router, k] = holders[best[use_router]]
-    return Assignment(supplier)
-
-
-def service_distances(x: np.ndarray, instance: Instance) -> np.ndarray:
-    """dist[i, k] = hops from router i to the nearest copy of object k."""
-    hop = instance.topology.hop_matrix
-    dorg = instance.topology.origin_distances.astype(float)
-    n, m = instance.n, instance.m
-    dist = np.tile(dorg[:, None], (1, m))
+    n, m = x.shape
+    dist = np.empty((n, m))
+    sup = np.full((n, m), ORIGIN, dtype=int) if supplier else None
     for k in range(m):
         holders = np.flatnonzero(x[:, k])
-        if holders.size:
-            np.minimum(dist[:, k], hop[:, holders].min(axis=1), out=dist[:, k])
-    return dist
+        if not holders.size:
+            dist[:, k] = dorg
+            continue
+        d = hop[holders]
+        best = d.min(axis=0)
+        np.minimum(best, dorg, out=dist[:, k])
+        if supplier:
+            near = best <= dorg
+            sup[near, k] = holders[d.argmin(axis=0)[near]]  # argmin keeps the lowest holder index
+    return (dist, sup) if supplier else dist
 
 
 def evaluate_objective(assignment: Assignment, instance: Instance) -> float:
@@ -176,7 +166,7 @@ def evaluate_objective(assignment: Assignment, instance: Instance) -> float:
 
 
 def placement_cost(placement: Placement, instance: Instance) -> float:
-    dist = service_distances(placement.x, instance)
+    dist = nearest_copy(placement.x, instance)
     return float((instance.demand.rates * dist * instance.catalog.sizes[None, :]).sum())
 
 
@@ -293,8 +283,8 @@ def greedy_solve(instance: Instance) -> SolveResult:
     hop = instance.topology.hop_matrix
     sizes = instance.catalog.sizes
     qs = instance.demand.rates * sizes[None, :]
-    curdist = np.tile(instance.topology.origin_distances.astype(float)[:, None], (1, m))
     x = np.zeros((n, m), dtype=bool)
+    curdist = nearest_copy(x, instance)
     pool = float(instance.c_sum)
 
     gains = _insertion_gains(curdist, instance)
@@ -331,28 +321,28 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
     Scans residents in (node, object) order and applies the first improving
     swap, restarting until no swap improves or ``max_iters`` swaps applied.
     """
-    n, m = instance.n, instance.m
+    m = instance.m
     hop = instance.topology.hop_matrix
-    dorg = instance.topology.origin_distances.astype(float)
     sizes = instance.catalog.sizes
     qs = instance.demand.rates * sizes[None, :]
     x = placement.x.copy()
-    curdist = service_distances(x, instance)
+    curdist = nearest_copy(x, instance)
     slack = float(instance.c_sum - (x @ sizes).sum())
 
+    # (i, k) -> distances for object k once the copy at i is gone; a swap
+    # changes only its two objects' columns, so other entries stay exact
+    removal = {}
     applied = 0
     while applied < max_iters:
         gains = _insertion_gains(curdist, instance)
         found = False
         for i, k in zip(*np.nonzero(x)):
             i, k = int(i), int(k)
-            # distances for object k once the copy at i is gone
-            others = np.flatnonzero(x[:, k])
-            others = others[others != i]
-            if others.size:
-                dist_wo = np.minimum(dorg, hop[:, others].min(axis=1)).astype(float)
-            else:
-                dist_wo = dorg.copy()
+            dist_wo = removal.get((i, k))
+            if dist_wo is None:
+                without = x[:, k:k + 1].copy()
+                without[i] = False
+                dist_wo = removal[i, k] = nearest_copy(without, instance)[:, 0]
             loss = float(qs[:, k] @ (dist_wo - curdist[:, k]))
             room = slack + float(sizes[k])
             delta = gains - loss
@@ -366,9 +356,8 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
                 x[i, k] = False
                 x[j, k2] = True
                 slack = slack + float(sizes[k]) - float(sizes[k2])
-                for obj in {k, k2}:
-                    holders = np.flatnonzero(x[:, obj])
-                    curdist[:, obj] = dorg if holders.size == 0 else np.minimum(dorg, hop[:, holders].min(axis=1))
+                curdist[:, [k, k2]] = nearest_copy(x[:, [k, k2]], instance)
+                removal = {key: d for key, d in removal.items() if key[1] not in (k, k2)}
                 applied += 1
                 found = True
                 break
@@ -405,11 +394,6 @@ def placement_to_csv(placement: Placement, path) -> None:
         writer.writerow(["node", "budget"])
         for i, b in enumerate(placement.budgets):
             writer.writerow([i, repr(float(b))])
-
-
-def diagnostics_to_json(result: SolveResult, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"cost": result.cost, **result.diagnostics}, fh, indent=2)
 
 
 def placement_digest(placement: Placement) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -31,6 +31,7 @@ from .optimizer import (
     Instance,
     Placement,
     check_feasibility,
+    nearest_copy,
 )
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "apply_placement",
     "run_epoch",
     "run_simulation",
-    "metrics_to_csv",
     "telemetry_to_csv",
 ]
 
@@ -85,6 +85,20 @@ class SimConfig:
     def __post_init__(self):
         if isinstance(self.scheme, str):
             self.scheme = Scheme(self.scheme)
+        if self.m_attach < 1:
+            raise InvalidParameterError("m_attach must be >= 1")
+        if self.nodes < max(2, self.m_attach + 1):
+            raise InvalidParameterError(f"nodes must be >= max(2, m_attach + 1) = {max(2, self.m_attach + 1)}")
+        if self.objects < 1:
+            raise InvalidParameterError("objects must be >= 1")
+        if self.alpha < 0:
+            raise InvalidParameterError("alpha must be nonnegative")
+        if self.per_node_rate <= 0:
+            raise InvalidParameterError("per_node_rate must be positive")
+        if self.origin_penalty < 0:
+            raise InvalidParameterError("origin_penalty must be nonnegative")
+        if self.smoothing < 0:
+            raise InvalidParameterError("smoothing must be nonnegative")
         if self.requests_per_epoch < 1:
             raise InvalidParameterError("requests_per_epoch must be positive")
         if self.epochs < 1:
@@ -185,7 +199,12 @@ class TelemetryLog:
 
 
 class NetworkState:
-    """Mutable simulation state: caches, holder index, and telemetry."""
+    """Mutable simulation state: caches, holder index, and telemetry.
+
+    Once ``apply_placement`` has run, ``placement`` holds the installed
+    placement and ``placement_dist`` its nearest-copy distances, and every
+    cache stays pinned.
+    """
 
     def __init__(self, instance: Instance, capacities, policy: Policy):
         self.instance = instance
@@ -193,23 +212,13 @@ class NetworkState:
         self.caches = [Cache(capacities[i], policy) for i in range(n)]
         self.holders = [set() for _ in range(m)]
         self.telemetry = TelemetryLog.empty(n, m)
-        self.next_hop = bfs_next_hop(instance.topology.node_count, instance.topology.edges)
+        self.next_hop = bfs_next_hop(instance.topology.hop_matrix, instance.topology.edges)
         # python-native copies for the per-request fast path
         self._hop = instance.topology.hop_matrix.tolist()
         self._dorg = [int(d) for d in instance.topology.origin_distances]
         self._sizes = instance.catalog.sizes.tolist()
-        self._pinned_resident = None  # bool N x M, set while all caches are pinned
-
-    def all_pinned(self) -> bool:
-        return all(c.policy is Policy.PINNED for c in self.caches)
-
-    def resident_matrix(self) -> np.ndarray:
-        n, m = self.instance.n, self.instance.m
-        x = np.zeros((n, m), dtype=bool)
-        for k, hs in enumerate(self.holders):
-            for i in hs:
-                x[i, k] = True
-        return x
+        self.placement = None
+        self.placement_dist = None
 
 
 def apply_placement(state: NetworkState, placement: Placement) -> None:
@@ -222,9 +231,12 @@ def apply_placement(state: NetworkState, placement: Placement) -> None:
     for i, cache in enumerate(state.caches):
         cache.capacity = float(placement.budgets[i])
         cache.pin(np.flatnonzero(placement.x[i]), sizes)
-    for k in range(state.instance.m):
-        state.holders[k] = set(int(i) for i in np.flatnonzero(placement.x[:, k]))
-    state._pinned_resident = placement.x.copy()
+    state.holders = [set() for _ in range(state.instance.m)]
+    rows, cols = np.nonzero(placement.x)
+    for i, k in zip(rows.tolist(), cols.tolist()):
+        state.holders[k].add(i)
+    state.placement = placement.copy()
+    state.placement_dist = nearest_copy(placement.x, state.instance)
 
 
 def _nearest_supplier(state: NetworkState, node: int, obj: int):
@@ -275,15 +287,9 @@ class EpochMetrics:
 
 
 def _pinned_epoch(state: NetworkState, requesters: np.ndarray, objects: np.ndarray) -> EpochMetrics:
-    """Vectorized epoch for static placements (no cache mutation)."""
-    from .optimizer import service_distances
-
-    x = state._pinned_resident
-    if x is None:
-        x = state.resident_matrix()
-    dist = service_distances(x, state.instance)
-    hops = dist[requesters, objects].astype(np.int64)
-    hits = x[requesters, objects]
+    """Vectorized epoch for the installed placement (no cache mutation)."""
+    hops = state.placement_dist[requesters, objects].astype(np.int64)
+    hits = state.placement.x[requesters, objects]
     tele = state.telemetry
     np.add.at(tele.request_count, (requesters, objects), 1)
     np.add.at(tele.hit_count, (requesters[hits], objects[hits]), 1)
@@ -321,7 +327,7 @@ def run_epoch(config: SimConfig, state: NetworkState, rng: np.random.Generator) 
 
     requesters = rng.integers(0, inst.n, size=config.requests_per_epoch)
     objects = rng.choice(inst.m, size=config.requests_per_epoch, p=inst.catalog.popularity)
-    if state.all_pinned():
+    if state.placement is not None:
         return _pinned_epoch(state, requesters, objects)
     total_hops = 0
     hits = 0
@@ -347,8 +353,8 @@ class MetricsReport:
 
 
 def build_instance(config: SimConfig, topo_seed: int) -> Instance:
-    topology = generate_power_law_topology(config.nodes, config.m_attach, topo_seed)
-    topology.origin_penalty = config.origin_penalty
+    topology = replace(generate_power_law_topology(config.nodes, config.m_attach, topo_seed),
+                       origin_penalty=config.origin_penalty)
     catalog = Catalog.uniform_sizes(config.objects, config.alpha)
     demand = build_demand(topology, catalog, config.per_node_rate)
     return Instance(topology, catalog, demand, float(config.c_sum))
@@ -358,21 +364,16 @@ def _initial_state(config: SimConfig, instance: Instance, place_rng: np.random.G
     n, m = instance.n, instance.m
     slots = config.slots_per_node
     capacities = np.full(n, float(slots))
-    if config.scheme is Scheme.NO_CACHE:
-        state = NetworkState(instance, np.zeros(n), Policy.PINNED)
-        state._pinned_resident = np.zeros((n, m), dtype=bool)
-    elif config.scheme in (Scheme.LCE_LRU, Scheme.LCE_LFU):
+    if config.scheme in (Scheme.LCE_LRU, Scheme.LCE_LFU):
         policy = Policy.LRU if config.scheme is Scheme.LCE_LRU else Policy.LFU
-        state = NetworkState(instance, capacities, policy)
-    elif config.scheme is Scheme.RANDOM_STATIC:
-        state = NetworkState(instance, capacities, Policy.PINNED)
-        x = np.zeros((n, m), dtype=bool)
+        return NetworkState(instance, capacities, policy)
+    # NO_CACHE has zero slots; OPTIMIZED warms up on an equal split with empty caches
+    x = np.zeros((n, m), dtype=bool)
+    if config.scheme is Scheme.RANDOM_STATIC:
         for i in range(n):
             x[i, place_rng.choice(m, size=slots, replace=False)] = True
-        apply_placement(state, Placement(x, capacities.copy()))
-    else:  # OPTIMIZED warms up on an equal split with empty caches
-        state = NetworkState(instance, capacities, Policy.PINNED)
-        state._pinned_resident = np.zeros((n, m), dtype=bool)
+    state = NetworkState(instance, capacities, Policy.PINNED)
+    apply_placement(state, Placement(x, capacities.copy()))
     return state
 
 
@@ -404,19 +405,6 @@ def run_simulation(config: SimConfig) -> MetricsReport:
     hits = sum(m.hit_ratio * m.requests for m in measured)
     return MetricsReport(config.scheme, config, epoch_metrics,
                          hops / total, hits / total, total, state.telemetry)
-
-
-def metrics_to_csv(reports: list, seeds: list, path) -> None:
-    """One row per (scheme, cache_fraction, alpha, seed, epoch)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scheme", "cache_fraction", "alpha", "seed", "epoch",
-                         "avg_hops", "hit_ratio", "requests"])
-        for report, seed in zip(reports, seeds):
-            cfg = report.config
-            for epoch, em in enumerate(report.epoch_metrics):
-                writer.writerow([cfg.scheme.value, repr(cfg.cache_fraction), repr(cfg.alpha),
-                                 seed, epoch, repr(em.avg_hops), repr(em.hit_ratio), em.requests])
 
 
 def telemetry_to_csv(log: TelemetryLog, path) -> None:

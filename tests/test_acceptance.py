@@ -22,7 +22,6 @@ from cachenet.optimizer import (
     check_feasibility,
     evaluate_objective,
     exact_solve,
-    nearest_copy_assignment,
     placement_cost,
     solve,
 )
@@ -36,7 +35,7 @@ from cachenet.simnet import (
     build_instance,
     run_epoch,
 )
-from util import random_instance
+from util import nearest_assignment, random_instance
 
 
 def report(criterion, ok, detail):
@@ -103,7 +102,7 @@ def test_criterion_2_assignment_optimality():
                          for _ in range(inst.n) for k in range(inst.m)]
         if math.prod(option_counts) > 100_000:
             continue
-        best = evaluate_objective(nearest_copy_assignment(placement, inst), inst)
+        best = evaluate_objective(nearest_assignment(placement, inst), inst)
         choices = [[ORIGIN] + [j for j in range(inst.n) if placement.x[j, k]]
                    for i in range(inst.n) for k in range(inst.m)]
         for combo in itertools.product(*choices):
@@ -125,12 +124,12 @@ def test_criterion_3_simulator_objective_identity():
         placement = Placement(x, budgets)
         state = NetworkState(inst, budgets, Policy.PINNED)
         apply_placement(state, placement)
-        cfg = SimConfig(Scheme.OPTIMIZED, nodes=inst.n, objects=inst.m,
+        cfg = SimConfig(Scheme.OPTIMIZED, nodes=inst.n, objects=inst.m, m_attach=1,
                         deterministic=True, epochs=2, warmup_epochs=0,
                         cache_fraction=1.0)
         measured = run_epoch(cfg, state, rng).avg_hops
         expected = average_hops(
-            evaluate_objective(nearest_copy_assignment(placement, inst), inst), inst)
+            evaluate_objective(nearest_assignment(placement, inst), inst), inst)
         worst = max(worst, abs(measured - expected))
     report(3, worst <= 1e-9, f"deterministic-schedule identity, worst gap {worst:.2e}")
 
@@ -205,7 +204,7 @@ def test_criterion_7_closed_loop_convergence():
     inst = build_instance(cfg, int(topo_ss.generate_state(1)[0]))
     optimum = exact_solve(inst).cost
     state = NetworkState(inst, np.full(inst.n, 1.0), Policy.PINNED)
-    state._pinned_resident = np.zeros((inst.n, inst.m), dtype=bool)
+    apply_placement(state, Placement(np.zeros((inst.n, inst.m), dtype=bool), np.full(inst.n, 1.0)))
     req_rng = np.random.default_rng(req_ss)
     decision_costs = []
     for epoch in range(cfg.epochs):

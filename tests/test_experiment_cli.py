@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -18,6 +19,12 @@ from cachenet.experiment import (
     validate_spec,
 )
 from cachenet.simnet import Scheme
+
+
+# parameters that SimConfig rejects, and that used to pass validation and
+# then raise mid-sweep or report impossible hops
+UNRUNNABLE = [("nodes", 2), ("alpha", -1), ("smoothing", -1), ("per_node_rate", 0),
+              ("origin_penalty", -3)]
 
 
 def tiny_spec_dict(**overrides):
@@ -140,16 +147,16 @@ class TestRecipes:
         assert spec.sweep_variable == "cache_fraction"
         assert spec.sweep_values == [0.01, 0.02, 0.03, 0.04, 0.05,
                                      0.06, 0.07, 0.08, 0.09, 0.1]
-        assert spec.alpha == 0.8
-        assert spec.nodes == 64
-        assert spec.objects == 200
+        assert spec.fixed["alpha"] == 0.8
+        assert spec.fixed["nodes"] == 64
+        assert spec.fixed["objects"] == 200
         assert validate_spec(spec) == []
 
     def test_alpha_recipe_shape(self):
         spec = alpha_sweep_spec()
         assert spec.sweep_variable == "alpha"
         assert spec.sweep_values == [0.4, 0.6, 0.8, 1.0, 1.2]
-        assert spec.cache_fraction == 0.05
+        assert spec.fixed["cache_fraction"] == 0.05
         assert Scheme.OPTIMIZED in spec.schemes
         assert validate_spec(spec) == []
 
@@ -161,11 +168,13 @@ class TestCli:
         assert main(["validate", str(path)]) == 0
         assert "ok" in capsys.readouterr().out
 
-    def test_validate_bad_spec(self, tmp_path, capsys):
+    @pytest.mark.parametrize("field,value", [("seeds", [2, 2])] + UNRUNNABLE,
+                             ids=["seeds"] + [f for f, _ in UNRUNNABLE])
+    def test_validate_bad_spec(self, tmp_path, capsys, field, value):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(tiny_spec_dict(seeds=[2, 2])))
+        path.write_text(json.dumps(tiny_spec_dict(**{field: value})))
         assert main(["validate", str(path)]) == 1
-        assert "seeds" in capsys.readouterr().out
+        assert field in capsys.readouterr().out
 
     def test_validate_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
@@ -187,3 +196,21 @@ class TestCli:
         out = tmp_path / "demo"
         assert main(["demo", "--output", str(out)]) == 0
         assert (out / "summary.csv").exists()
+
+
+class TestGoldenOutputs:
+    """Pinned sha256 of the CSVs, so refactors cannot shift results unnoticed."""
+
+    @pytest.mark.parametrize("make_spec,per_run_sha,summary_sha", [
+        (demo_spec,
+         "f5e59d90fe3b8aae6fd9da979591fd4779d9dc450f4bdbe6963d03dc46d06969",
+         "83f845aa8495211996af9c2b573fa7b832a3044a43f0afb2f01c4a38fc532cd9"),
+        (lambda: cache_size_sweep_spec(nodes=16, objects=100, seeds=[0, 1], requests_per_epoch=500,
+                                       epochs=3, warmup_epochs=1),  # criterion 8's spec
+         "4f225e00e08685953b2f93c0eebef48d6c77a9fca5db03e104f7b1d1558665fb",
+         "e52af9ad211df8065a1a065a0b358278c2024f822cae31adb783217ce66f90c6"),
+    ], ids=["demo", "criterion_8"])
+    def test_csv_digests(self, tmp_path, make_spec, per_run_sha, summary_sha):
+        per_run, summary = run_experiment(make_spec(), output_dir=tmp_path)
+        assert hashlib.sha256(open(per_run, "rb").read()).hexdigest() == per_run_sha
+        assert hashlib.sha256(open(summary, "rb").read()).hexdigest() == summary_sha

@@ -127,7 +127,7 @@ class TestAllPairsHops:
 class TestNextHop:
     def test_paths_are_shortest(self):
         topo = generate_power_law_topology(15, 2, seed=9)
-        nxt = bfs_next_hop(topo.node_count, topo.edges)
+        nxt = bfs_next_hop(topo.hop_matrix, topo.edges)
         edge_set = topo.edges
         for s in range(topo.node_count):
             for t in range(topo.node_count):
@@ -135,6 +135,13 @@ class TestNextHop:
                 assert len(path) - 1 == topo.hop_matrix[s, t]
                 for u, v in zip(path, path[1:]):
                     assert (min(u, v), max(u, v)) in edge_set
+
+    def test_tie_breaks_to_lowest_neighbor(self):
+        # 4-cycle 0-1, 0-2, 1-3, 2-3: both ways round are shortest
+        edges = frozenset({(0, 1), (0, 2), (1, 3), (2, 3)})
+        nxt = bfs_next_hop(all_pairs_hops(4, edges), edges)
+        assert nxt[0, 3] == 1
+        assert nxt[3, 0] == 1
 
 
 class TestZipf:

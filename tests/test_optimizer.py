@@ -15,12 +15,11 @@ from cachenet.optimizer import (
     exact_solve,
     greedy_solve,
     local_search,
-    nearest_copy_assignment,
     placement_cost,
     placement_to_csv,
     solve,
 )
-from util import random_instance
+from util import nearest_assignment, random_instance
 
 
 def path_topology(n, origin_attach=0, penalty=3):
@@ -64,7 +63,7 @@ class TestNearestCopyAssignment:
         topo = path_topology(3)
         inst = make_instance(topo, 2, 0.5, np.ones((3, 2)), 0.0)
         placement = Placement.empty(3, 2)
-        assign = nearest_copy_assignment(placement, inst)
+        assign = nearest_assignment(placement, inst)
         assert np.all(assign.supplier == ORIGIN)
 
     def test_self_copy_dominates(self):
@@ -73,7 +72,7 @@ class TestNearestCopyAssignment:
         x = np.zeros((3, 2), dtype=bool)
         x[1, 0] = True
         budgets = np.array([2.0, 1.0, 0.0])
-        assign = nearest_copy_assignment(Placement(x, budgets), inst)
+        assign = nearest_assignment(Placement(x, budgets), inst)
         assert assign.supplier[1, 0] == 1
 
     def test_remote_copy_beats_origin_penalty(self):
@@ -82,7 +81,7 @@ class TestNearestCopyAssignment:
         inst = make_instance(topo, 1, 0.0, np.ones((3, 1)), 1.0)
         x = np.zeros((3, 1), dtype=bool)
         x[2, 0] = True
-        assign = nearest_copy_assignment(Placement(x, np.array([0.0, 0.0, 1.0])), inst)
+        assign = nearest_assignment(Placement(x, np.array([0.0, 0.0, 1.0])), inst)
         assert assign.supplier[1, 0] == 2  # 1 hop beats 1 + 3
 
     def test_router_preferred_over_origin_on_tie(self):
@@ -90,7 +89,7 @@ class TestNearestCopyAssignment:
         inst = make_instance(topo, 1, 0.0, np.ones((3, 1)), 1.0)
         x = np.zeros((3, 1), dtype=bool)
         x[0, 0] = True  # router 0 ties the origin exactly
-        assign = nearest_copy_assignment(Placement(x, np.array([1.0, 0.0, 0.0])), inst)
+        assign = nearest_assignment(Placement(x, np.array([1.0, 0.0, 0.0])), inst)
         assert np.all(assign.supplier[:, 0] == 0)
 
     def test_optimal_among_all_feasible_assignments(self):
@@ -99,7 +98,7 @@ class TestNearestCopyAssignment:
         for _ in range(20):
             inst = random_instance(rng, n_max=3, m_max=3, c_max=3)
             result = exact_solve(inst)
-            best = evaluate_objective(nearest_copy_assignment(result.placement, inst), inst)
+            best = evaluate_objective(nearest_assignment(result.placement, inst), inst)
             for sup in enumerate_feasible_assignments(result.placement, inst):
                 from cachenet.optimizer import Assignment
                 assert best <= evaluate_objective(Assignment(sup), inst) + 1e-9
@@ -111,14 +110,14 @@ class TestObjective:
         inst = make_instance(topo, 2, 0.0, np.ones((3, 2)), 6.0)
         x = np.ones((3, 2), dtype=bool)
         placement = Placement(x, np.full(3, 2.0))
-        assert evaluate_objective(nearest_copy_assignment(placement, inst), inst) == 0.0
+        assert evaluate_objective(nearest_assignment(placement, inst), inst) == 0.0
 
     def test_two_node_single_copy(self):
         topo = path_topology(2, origin_attach=0, penalty=5)
         inst = make_instance(topo, 1, 0.0, np.ones((2, 1)), 1.0)
         x = np.array([[True], [False]])
         cost = evaluate_objective(
-            nearest_copy_assignment(Placement(x, np.array([1.0, 0.0])), inst), inst)
+            nearest_assignment(Placement(x, np.array([1.0, 0.0])), inst), inst)
         assert cost == 1.0  # node 1 fetches over one hop, node 0 local
 
     def test_matches_brute_force_on_mixed_placements(self):
@@ -130,7 +129,7 @@ class TestObjective:
             budgets = x.sum(axis=1).astype(float)
             budgets[0] += 3.0 - budgets.sum()
             placement = Placement(x.astype(bool), budgets)
-            cost = evaluate_objective(nearest_copy_assignment(placement, inst), inst)
+            cost = evaluate_objective(nearest_assignment(placement, inst), inst)
             assert cost == pytest.approx(brute_force_objective(placement, inst), abs=1e-9)
 
     def test_linear_in_demand(self):

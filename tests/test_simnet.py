@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from cachenet.optimizer import (
     Placement,
     average_hops,
     evaluate_objective,
-    nearest_copy_assignment,
+    nearest_copy,
 )
 from cachenet.simnet import (
     Cache,
@@ -22,12 +24,14 @@ from cachenet.simnet import (
     Policy,
     Scheme,
     SimConfig,
+    _nearest_supplier,
     apply_placement,
     handle_request,
     run_epoch,
     run_simulation,
     telemetry_to_csv,
 )
+from util import nearest_assignment, random_instance
 
 
 def path_instance(n, m, alpha=0.5, origin_attach=0, penalty=3, c_sum=0.0):
@@ -156,6 +160,31 @@ class TestHandleRequest:
         assert handle_request(state, 1, 0) == 1  # node 2 beats origin at 1+3
 
 
+class TestNearestSupplier:
+    def test_matches_kernel(self):
+        """The per-request lookup and the vectorized kernel share one contract."""
+        rng = np.random.default_rng(8)
+        router_ties = origin_ties = 0
+        for trial in range(200):
+            inst = random_instance(rng, n_max=8, m_max=6)
+            topo = inst.topology
+            if trial % 2:
+                topo = replace(topo, origin_penalty=0)
+            x = rng.random((inst.n, inst.m)) < rng.uniform(0.1, 0.7)
+            budgets = x.sum(axis=1).astype(float)
+            inst = Instance(topo, inst.catalog, inst.demand, float(budgets.sum()))
+            state = NetworkState(inst, budgets, Policy.PINNED)
+            apply_placement(state, Placement(x, budgets))
+            dist, supplier = nearest_copy(x, inst, supplier=True)
+            for i in range(inst.n):
+                for k in range(inst.m):
+                    assert _nearest_supplier(state, i, k) == (supplier[i, k], dist[i, k])
+                    near = sum(1 for j in range(inst.n) if x[j, k] and topo.hop_matrix[i, j] == dist[i, k])
+                    router_ties += near > 1
+                    origin_ties += near > 0 and topo.origin_distances[i] == dist[i, k]
+        assert router_ties > 100 and origin_ties > 100  # both tie-breaks were exercised
+
+
 class TestApplyPlacement:
     def test_empty_placement_empties_caches(self):
         inst = path_instance(3, 2, c_sum=6.0)
@@ -198,7 +227,7 @@ class TestRunEpoch:
                         epochs=2, warmup_epochs=0, cache_fraction=0.34)
         metrics = run_epoch(cfg, state, np.random.default_rng(0))
         expected = average_hops(
-            evaluate_objective(nearest_copy_assignment(placement, inst), inst), inst)
+            evaluate_objective(nearest_assignment(placement, inst), inst), inst)
         assert metrics.avg_hops == pytest.approx(expected, abs=1e-9)
 
     def test_full_replication_zero_hops(self):

@@ -3,7 +3,7 @@
 import numpy as np
 
 from cachenet.netmodel import Catalog, DemandMatrix, Topology, all_pairs_hops, zipf_popularity
-from cachenet.optimizer import Instance
+from cachenet.optimizer import Assignment, Instance, nearest_copy
 
 
 def random_connected_edges(rng, n):
@@ -37,3 +37,8 @@ def random_instance(rng, n_max=4, m_max=5, c_max=4, unit_sizes=True):
     demand = DemandMatrix(rates)
     c_sum = float(rng.integers(0, c_max + 1))
     return Instance(topo, catalog, demand, c_sum)
+
+
+def nearest_assignment(placement, instance):
+    """The nearest-copy kernel's supplier matrix as an Assignment."""
+    return Assignment(nearest_copy(placement.x, instance, supplier=True)[1])

@@ -17,7 +17,6 @@ from .netmodel import Catalog, DemandMatrix, Topology
 from .optimizer import (
     Instance,
     Placement,
-    SolveResult,
     check_feasibility,
     placement_digest,
     solve,
@@ -75,9 +74,8 @@ def controller_epoch(telemetry_log, topology: Topology, catalog: Catalog,
     instance = Instance(topology, catalog, DemandMatrix(estimate.rates_hat), c_sum)
     result = solve(instance)
     assert check_feasibility(result.placement, instance).ok
-    diagnostics = {k: v for k, v in result.diagnostics.items() if k != "gain_trace"}
-    diagnostics["sample_count"] = estimate.sample_count
-    return ControllerDecision(result.placement, epoch_index, result.cost, diagnostics)
+    return ControllerDecision(result.placement, epoch_index, result.cost,
+                              {**result.diagnostics, "sample_count": estimate.sample_count})
 
 
 def estimate_to_csv(estimate: DemandEstimate, path) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiment import ConfigError, demo_spec, load_spec, run_experiment, validate_spec
+from .experiment import ConfigError, demo_spec, load_spec, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,19 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.verb == "validate":
-        try:
-            load_spec(args.spec)
-        except ConfigError as exc:
-            for diag in exc.diagnostics:
-                print(f"INVALID: {diag}")
-            return 1
-        except OSError as exc:
-            print(f"INVALID: {exc}")
-            return 1
-        print("ok")
-        return 0
-
     if args.verb == "demo":
         spec = demo_spec()
         per_run, summary = run_experiment(spec, output_dir=args.output)
@@ -56,7 +43,6 @@ def main(argv=None) -> int:
         print(f"wrote {summary}")
         return 0
 
-    # run
     try:
         spec = load_spec(args.spec)
     except ConfigError as exc:
@@ -64,8 +50,11 @@ def main(argv=None) -> int:
             print(f"INVALID: {diag}")
         return 1
     except OSError as exc:
-        print(f"error: {exc}")
+        print(f"INVALID: {exc}" if args.verb == "validate" else f"error: {exc}")
         return 1
+    if args.verb == "validate":
+        print("ok")
+        return 0
     try:
         per_run, summary = run_experiment(spec, jobs=args.jobs,
                                           seed_override=args.seed_override,

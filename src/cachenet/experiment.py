@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .simnet import Scheme, SimConfig, run_simulation
+from .simnet import Scheme, SimConfig, is_number, run_simulation
 
 __all__ = [
     "ExperimentSpec",
@@ -93,6 +94,8 @@ def load_spec(path) -> ExperimentSpec:
 
 
 def spec_from_dict(raw: dict) -> ExperimentSpec:
+    if not isinstance(raw, dict):
+        raise ConfigError([f"spec must be a JSON object, got {type(raw).__name__}"])
     params = {_SPEC_KEYS.get(key, key): value for key, value in raw.items()}
     diagnostics = [f"unknown field: {k}" for k in _unknown(params)]
     if "sweep_variable" not in params:
@@ -107,7 +110,7 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
     diagnostics = validate_spec(spec)
     if diagnostics:
         raise ConfigError(diagnostics)
-    spec.schemes = [Scheme(s) if isinstance(s, str) else s for s in spec.schemes]
+    spec.schemes = [Scheme(s) for s in spec.schemes]
     return spec
 
 
@@ -116,27 +119,33 @@ def validate_spec(spec: ExperimentSpec) -> list:
     diags = []
     if spec.sweep_variable not in SWEEPABLE:
         diags.append(f"sweep: must be one of {SWEEPABLE}, got {spec.sweep_variable!r}")
-    if not spec.sweep_values:
+    if not isinstance(spec.sweep_values, list) or not all(is_number(v, numbers.Real) for v in spec.sweep_values):
+        diags.append(f"values: must be a list of numbers, got {spec.sweep_values!r}")
+    elif not spec.sweep_values:
         diags.append("values: must be nonempty")
     elif any(b <= a for a, b in zip(spec.sweep_values, spec.sweep_values[1:])):
         diags.append("values: must be strictly increasing")
-    if not spec.seeds:
+    if not isinstance(spec.seeds, list) or not all(is_number(s, numbers.Integral) for s in spec.seeds):
+        diags.append(f"seeds: must be a list of integers, got {spec.seeds!r}")
+    elif not spec.seeds:
         diags.append("seeds: must be nonempty")
     elif len(set(spec.seeds)) != len(spec.seeds):
         diags.append("seeds: must be distinct")
-    if not spec.schemes:
-        diags.append("schemes: must be nonempty")
-    for s in spec.schemes:
-        try:
-            Scheme(s) if isinstance(s, str) else s
-        except ValueError:
-            diags.append(f"schemes: unknown scheme {s!r}")
+    if not isinstance(spec.schemes, list) or not spec.schemes:
+        diags.append(f"schemes: must be a nonempty list, got {spec.schemes!r}")
+    else:
+        for s in spec.schemes:
+            try:
+                Scheme(s)
+            except ValueError:
+                diags.append(f"schemes: unknown scheme {s!r}")
+    if not isinstance(spec.output_path, str):
+        diags.append(f"output: must be a path, got {spec.output_path!r}")
     if diags:
         return diags
     # dry-build one config per (value, scheme) to surface SimConfig invariants
     for value in spec.sweep_values:
-        for scheme in spec.schemes:
-            scheme = Scheme(scheme) if isinstance(scheme, str) else scheme
+        for scheme in map(Scheme, spec.schemes):
             try:
                 spec.config(value, scheme, spec.seeds[0])
             except ValueError as exc:

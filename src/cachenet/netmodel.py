@@ -8,7 +8,7 @@ catalog, and the per-node per-object request-rate matrix.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -9,8 +9,10 @@ insert the fetched object at every router on the reply path.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -18,9 +20,7 @@ import numpy as np
 from . import analytics
 from .netmodel import (
     Catalog,
-    DemandMatrix,
     InvalidParameterError,
-    Topology,
     bfs_next_hop,
     build_demand,
     generate_power_law_topology,
@@ -65,6 +65,11 @@ class Scheme(Enum):
     NO_CACHE = "NO_CACHE"
 
 
+def is_number(value, kind) -> bool:
+    """``value`` is an instance of the ``numbers`` ABC ``kind`` and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass
 class SimConfig:
     scheme: Scheme
@@ -85,6 +90,12 @@ class SimConfig:
     def __post_init__(self):
         if isinstance(self.scheme, str):
             self.scheme = Scheme(self.scheme)
+        for f in fields(self):  # types first, so the range checks below compare numbers
+            value = getattr(self, f.name)
+            if f.type == "int" and not is_number(value, numbers.Integral):
+                raise InvalidParameterError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not (is_number(value, numbers.Real) and math.isfinite(value)):
+                raise InvalidParameterError(f"{f.name} must be a finite number, got {value!r}")
         if self.m_attach < 1:
             raise InvalidParameterError("m_attach must be >= 1")
         if self.nodes < max(2, self.m_attach + 1):
@@ -93,8 +104,8 @@ class SimConfig:
             raise InvalidParameterError("objects must be >= 1")
         if self.alpha < 0:
             raise InvalidParameterError("alpha must be nonnegative")
-        if self.per_node_rate <= 0:
-            raise InvalidParameterError("per_node_rate must be positive")
+        if self.per_node_rate < np.finfo(float).tiny:  # a subnormal rate underflows to zero demand
+            raise InvalidParameterError("per_node_rate must be positive and not subnormal")
         if self.origin_penalty < 0:
             raise InvalidParameterError("origin_penalty must be nonnegative")
         if self.smoothing < 0:

@@ -1,8 +1,11 @@
 import csv
 import hashlib
 import json
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cachenet.cli import main
 from cachenet.experiment import (
@@ -25,6 +28,14 @@ from cachenet.simnet import Scheme
 # then raise mid-sweep or report impossible hops
 UNRUNNABLE = [("nodes", 2), ("alpha", -1), ("smoothing", -1), ("per_node_rate", 0),
               ("origin_penalty", -3)]
+# values of the wrong type, or numbers no run can use, that used to crash
+# validate with a traceback or pass it and then crash the run
+MISTYPED = [("nodes", "abc", "nodes_str"), ("values", ["0.1"], "values_str"),
+            ("nodes", 5.5, "nodes_float"), ("seeds", [0.5], "seeds_float"),
+            ("alpha", float("nan"), "alpha_nan"), ("per_node_rate", 5e-324, "per_node_rate_subnormal")]
+BAD_SPECS = ([pytest.param("seeds", [2, 2], id="seeds")]
+             + [pytest.param(f, v, id=f) for f, v in UNRUNNABLE]
+             + [pytest.param(f, v, id=i) for f, v, i in MISTYPED])
 
 
 def tiny_spec_dict(**overrides):
@@ -141,6 +152,59 @@ class TestRunExperiment:
         assert seeds == {"99"}
 
 
+# bounded sizes; each range reaches just past its field's valid edge
+_SIZED = {
+    "nodes": st.integers(1, 12),
+    "objects": st.integers(1, 20),
+    "m_attach": st.integers(0, 3),
+    "alpha": st.floats(-0.1, 2.0),
+    "origin_penalty": st.integers(-1, 4),
+    "per_node_rate": st.floats(0.0, 5.0),
+    "requests_per_epoch": st.integers(0, 300),
+    "epochs": st.integers(1, 2),
+    "warmup_epochs": st.integers(0, 2),
+    "smoothing": st.floats(-0.1, 3.0),
+    "cache_fraction": st.floats(0.0, 1.1),
+}
+_JUNK = st.sampled_from(["abc", "3", None, True, [1], {}, 1.5, float("nan"), float("inf"), -1])
+
+
+@st.composite
+def sweep_specs(draw):
+    spec = {
+        "sweep": draw(st.sampled_from(["cache_fraction", "alpha"])),
+        "values": sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=2, unique=True))),
+        "schemes": draw(st.lists(st.sampled_from([s.value for s in Scheme]), min_size=1, max_size=3,
+                                 unique=True)),
+        "seeds": draw(st.lists(st.integers(0, 20), min_size=1, max_size=2, unique=True)),
+        "nodes": 8, "objects": 20, "requests_per_epoch": 200, "epochs": 2, "warmup_epochs": 0,
+    }
+    for name in draw(st.sets(st.sampled_from(sorted(_SIZED)))):
+        spec[name] = draw(_SIZED[name])
+    if draw(st.integers(0, 3)) == 0:  # one key with a value of the wrong type
+        spec[draw(st.sampled_from(sorted(spec)))] = draw(_JUNK)
+    return spec
+
+
+class TestAcceptedSpecsRun:
+    @settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+    @given(raw=sweep_specs())
+    def test_accepted_spec_runs_with_sane_metrics(self, raw):
+        """Anything validation accepts runs, and reports no impossible numbers."""
+        try:
+            spec = spec_from_dict(raw)
+        except ConfigError:
+            return
+        with tempfile.TemporaryDirectory() as out:
+            per_run, _ = run_experiment(spec, output_dir=out)
+            with open(per_run) as fh:
+                rows = list(csv.DictReader(fh))
+        assert rows
+        for row in rows:
+            assert float(row["avg_hops"]) >= 0
+            assert 0 <= float(row["hit_ratio"]) <= 1
+
+
 class TestRecipes:
     def test_cache_size_recipe_shape(self):
         spec = cache_size_sweep_spec()
@@ -168,8 +232,7 @@ class TestCli:
         assert main(["validate", str(path)]) == 0
         assert "ok" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("field,value", [("seeds", [2, 2])] + UNRUNNABLE,
-                             ids=["seeds"] + [f for f, _ in UNRUNNABLE])
+    @pytest.mark.parametrize("field,value", BAD_SPECS)
     def test_validate_bad_spec(self, tmp_path, capsys, field, value):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(tiny_spec_dict(**{field: value})))

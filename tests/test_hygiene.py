@@ -1,0 +1,39 @@
+"""Source hygiene checks that need no linter."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cachenet"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")  # __init__ only re-exports
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by an import and never read; ``__all__`` entries count as read."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_detector_finds_unused_import():
+    assert unused_imports("import os\nimport sys\nprint(sys)\n") == [(1, "os")]
+    assert unused_imports("from __future__ import annotations\nfrom a import b as c\n") == [(2, "c")]
+    assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

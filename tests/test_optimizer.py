@@ -15,6 +15,7 @@ from cachenet.optimizer import (
     exact_solve,
     greedy_solve,
     local_search,
+    nearest_copy,
     placement_cost,
     placement_to_csv,
     solve,
@@ -226,7 +227,62 @@ class TestExactSolve:
             assert check_feasibility(result.placement, inst).ok
 
 
+def naive_greedy(instance):
+    """Reference greedy: each step scores every (router, object) copy from
+    the nearest-copy kernel and adds the best by gain per size unit, then
+    gain, then lowest router, then lowest object."""
+    sizes = instance.catalog.sizes
+    qs = instance.demand.rates * sizes[None, :]
+    x = np.zeros((instance.n, instance.m), dtype=bool)
+    pool = instance.c_sum
+    while True:
+        dist = nearest_copy(x, instance)
+        best = None
+        for j in range(instance.n):
+            for k in range(instance.m):
+                if x[j, k] or sizes[k] > pool + 1e-9:
+                    continue
+                y = x.copy()
+                y[j, k] = True
+                gain = float(qs[:, k] @ (dist[:, k] - nearest_copy(y, instance)[:, k]))
+                key = (gain / sizes[k], gain, -j, -k)
+                if best is None or key > best:
+                    best = key
+        if best is None or best[1] <= 1e-12:
+            return x
+        j, k = -best[2], -best[3]
+        x[j, k] = True
+        pool -= sizes[k]
+
+
+def integer_rates(inst):
+    """The instance with whole-number rates, so every gain is exact and ties are common."""
+    return Instance(inst.topology, inst.catalog, DemandMatrix(np.floor(inst.demand.rates)), inst.c_sum)
+
+
 class TestGreedy:
+    def test_matches_naive_reference(self):
+        rng = np.random.default_rng(21)
+        for trial in range(300):
+            inst = integer_rates(random_instance(rng, n_max=6, m_max=6, c_max=6, unit_sizes=trial % 2 == 0))
+            assert np.array_equal(greedy_solve(inst).placement.x, naive_greedy(inst)), trial
+
+    def test_equal_gains_go_to_lowest_router(self):
+        # path 0-1-2, origin behind node 1 at penalty 3, demand only at the
+        # ends: a copy at any of the three routers saves 6 hops
+        topo = path_topology(3, origin_attach=1, penalty=3)
+        inst = make_instance(topo, 1, 0.0, [[1.0], [0.0], [1.0]], 1.0)
+        x = greedy_solve(inst).placement.x
+        assert np.array_equal(x, [[True], [False], [False]])
+
+    def test_equal_rate_goes_to_larger_gain(self):
+        # same rates, sizes 1 and 2: equal gain per size unit, and the
+        # size-2 object saves twice the hops
+        topo = path_topology(2, origin_attach=0, penalty=3)
+        inst = make_instance(topo, 2, 0.0, np.ones((2, 2)), 2.0, sizes=[1.0, 2.0])
+        x = greedy_solve(inst).placement.x
+        assert np.array_equal(x, [[False, True], [False, False]])
+
     def test_zero_budget_empty(self):
         rng = np.random.default_rng(10)
         inst = random_instance(rng)

@@ -160,6 +160,32 @@ class TestHandleRequest:
         assert handle_request(state, 1, 0) == 1  # node 2 beats origin at 1+3
 
 
+    def test_remote_hit_does_not_refresh_supplier(self):
+        # path 0-1-2 with node 1 holding [0, 1]: serving node 0 from node 1's
+        # cache is no access at node 1, so its LRU order and LFU counts stay
+        inst = path_instance(3, 3, penalty=3)
+        for policy in (Policy.LRU, Policy.LFU):
+            state = NetworkState(inst, [1.0, 2.0, 1.0], policy)
+            for obj in (0, 1):
+                state.caches[1].insert(obj, 1.0)
+                state.holders[obj].add(1)
+            assert handle_request(state, 0, 0) == 1
+            assert state.caches[1].residents() == [0, 1]
+            assert state.caches[1].insert(2, 1.0) == [0]  # object 0 is still the victim
+
+    def test_holders_match_cache_contents(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            inst = random_instance(rng, n_max=8, m_max=6, unit_sizes=False)
+            capacities = rng.integers(0, 4, size=inst.n).astype(float)
+            for policy in (Policy.LRU, Policy.LFU):
+                state = NetworkState(inst, capacities, policy)
+                for _ in range(200):
+                    handle_request(state, int(rng.integers(inst.n)), int(rng.integers(inst.m)))
+                    assert state.holders == [{i for i in range(inst.n) if k in state.caches[i]}
+                                             for k in range(inst.m)]
+
+
 class TestNearestSupplier:
     def test_matches_kernel(self):
         """The per-request lookup and the vectorized kernel share one contract."""

@@ -73,7 +73,10 @@ def controller_epoch(telemetry_log, topology: Topology, catalog: Catalog,
     estimate = estimate_demand(telemetry_log, smoothing)
     instance = Instance(topology, catalog, DemandMatrix(estimate.rates_hat), c_sum)
     result = solve(instance)
-    assert check_feasibility(result.placement, instance).ok
+    report = check_feasibility(result.placement, instance)
+    if not report.ok:
+        raise RuntimeError("solver returned an infeasible placement: "
+                           + "; ".join(v.detail for v in report.violations))
     return ControllerDecision(result.placement, epoch_index, result.cost,
                               {**result.diagnostics, "sample_count": estimate.sample_count})
 

@@ -14,6 +14,13 @@ import sys
 from .experiment import ConfigError, demo_spec, load_spec, run_experiment
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cachenet",
                                      description="Content placement and in-network cache simulator")
@@ -23,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("spec", help="path to a JSON sweep spec")
     run_p.add_argument("--seed-override", type=int, default=None,
                        help="run every cell with this single seed")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    run_p.add_argument("--jobs", type=_jobs, default=1, help="parallel worker processes")
     run_p.add_argument("--output", default=None, help="output directory (overrides spec)")
 
     val_p = sub.add_parser("validate", help="validate a sweep spec without running")
@@ -31,6 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     demo_p = sub.add_parser("demo", help="run a tiny built-in sweep")
     demo_p.add_argument("--output", default=None, help="output directory")
+    demo_p.set_defaults(jobs=1, seed_override=None)
     return parser
 
 
@@ -38,26 +46,21 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.verb == "demo":
         spec = demo_spec()
-        per_run, summary = run_experiment(spec, output_dir=args.output)
-        print(f"wrote {per_run}")
-        print(f"wrote {summary}")
-        return 0
-
+    else:
+        try:
+            spec = load_spec(args.spec)
+        except ConfigError as exc:
+            for diag in exc.diagnostics:
+                print(f"INVALID: {diag}")
+            return 1
+        except OSError as exc:
+            print(f"INVALID: {exc}" if args.verb == "validate" else f"error: {exc}")
+            return 1
+        if args.verb == "validate":
+            print("ok")
+            return 0
     try:
-        spec = load_spec(args.spec)
-    except ConfigError as exc:
-        for diag in exc.diagnostics:
-            print(f"INVALID: {diag}")
-        return 1
-    except OSError as exc:
-        print(f"INVALID: {exc}" if args.verb == "validate" else f"error: {exc}")
-        return 1
-    if args.verb == "validate":
-        print("ok")
-        return 0
-    try:
-        per_run, summary = run_experiment(spec, jobs=args.jobs,
-                                          seed_override=args.seed_override,
+        per_run, summary = run_experiment(spec, jobs=args.jobs, seed_override=args.seed_override,
                                           output_dir=args.output)
     except OSError as exc:
         print(f"error: {exc}")

@@ -218,7 +218,8 @@ def generate_power_law_topology(n: int, m_attach: int, seed: int) -> Topology:
         deg[v] += 1
     origin_attach = int(np.argmax(deg))  # argmax takes the lowest index on ties
     expected = (seed_size - 1) + (n - seed_size) * m_attach
-    assert len(edges) == expected, "attachment rule fixes the edge count"
+    if len(edges) != expected:
+        raise RuntimeError(f"attachment rule fixes the edge count at {expected}, built {len(edges)}")
     return Topology(n, frozenset(edges), hop, origin_attach)
 
 

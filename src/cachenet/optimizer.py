@@ -165,7 +165,11 @@ def evaluate_objective(assignment: Assignment, instance: Instance) -> float:
 
 
 def placement_cost(placement: Placement, instance: Instance) -> float:
-    dist = nearest_copy(placement.x, instance)
+    return _traffic(nearest_copy(placement.x, instance), instance)
+
+
+def _traffic(dist: np.ndarray, instance: Instance) -> float:
+    """Total hop-weighted traffic when router i fetches object k over dist[i, k] hops."""
     return float((instance.demand.rates * dist * instance.catalog.sizes[None, :]).sum())
 
 
@@ -305,15 +309,59 @@ def greedy_solve(instance: Instance) -> SolveResult:
                        {"method": "greedy", "iterations": int(x.sum())})
 
 
+# the initial pricing takes the catalog a chunk of objects at a time, so that
+# its largest temporaries (chunk x copies x n, chunk x moved requesters x n)
+# stay within about this many entries (256 KB)
+_CHUNK = 1 << 15
+
+
+def _runner_up(x: np.ndarray, hop: np.ndarray, dorg: np.ndarray):
+    """near[r, k] = router of r's nearest copy of object k in ``x`` (the
+    lowest index on ties, -1 without copies), and after[r, k] = r's distance
+    to k once that copy is gone: to the next copy or the origin, whichever
+    is nearer."""
+    n, b = x.shape
+    obj, router = np.nonzero(x.T)  # copies by object, then router
+    slot = np.arange(obj.size) - np.searchsorted(obj, np.arange(b))[obj]
+    table = np.full((b, max(int(slot.max(initial=0)) + 1, 2)), -1)
+    table[obj, slot] = router
+    d = hop[table]  # d[k, slot, r]
+    d[table < 0] = np.inf
+    first = d.argmin(axis=1)  # lowest slot, so lowest router, on ties
+    k_ix, r_ix = np.arange(b)[:, None], np.arange(n)[None, :]
+    d[k_ix, first, r_ix] = np.inf
+    return table[k_ix, first].T, np.minimum(d.min(axis=1).T, dorg[:, None])
+
+
+def _drop_prices(qs, curdist, after, hop, r_ix, k_ix, starts):
+    """Loss and insertion-gain column change from dropping copies, each one
+    given by its moved requesters r_ix (object k_ix), grouped at ``starts``."""
+    q, near, far = qs[r_ix, k_ix], curdist[r_ix, k_ix], after[r_ix, k_ix]
+    # a requester at `near` that moves to `far` saves max(0, far - h) - max(0, near - h)
+    # from a copy h hops away; on whole hop counts that is clip(far - h, 0, far - near)
+    extra = hop[r_ix]
+    np.subtract(far[:, None], extra, out=extra)
+    np.clip(extra, 0.0, (far - near)[:, None], out=extra)
+    extra *= q[:, None]
+    return np.add.reduceat(q * (far - near), starts), np.add.reduceat(extra, starts, axis=0)
+
+
 def local_search(instance: Instance, placement: Placement, max_iters: int) -> SolveResult:
     """First-improvement swap pass: drop one resident copy, add one absent
     copy that fits the freed capacity plus pool slack.
 
     Scans residents in (node, object) order and applies the first improving
     swap, restarting until no swap improves or ``max_iters`` swaps applied.
+
+    Dropping the copy at i moves only the requesters whose one nearest copy
+    is i, to their runner-up, so every resident's loss and best same-object
+    re-insertion gain follow from per-object state, and a whole pass is one
+    vector comparison against each object's best insertion gain. A swap
+    reprices only its two objects.
     """
-    m = instance.m
+    n, m = instance.n, instance.m
     hop = instance.topology.hop_matrix.astype(float)
+    dorg = instance.topology.origin_distances.astype(float)
     sizes = instance.catalog.sizes
     qs = instance.demand.rates * sizes[None, :]
     x = placement.x.copy()
@@ -321,45 +369,66 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
     slack = float(instance.c_sum - (x @ sizes).sum())
     # gains[j, k] = objective decrease from adding a copy of k at router j
     gains = np.stack([_gain_column(qs[:, k], curdist[:, k], hop) for k in range(m)], axis=1)
+    near = np.empty((n, m), dtype=int)
+    after = np.empty((n, m))
+    loss = np.zeros((n, m))  # loss[i, k] = objective increase from dropping the copy at i
+    regain = np.zeros((n, m))  # regain[i, k] = then the best gain of re-adding k where it is absent
+    colmax = np.zeros(m)  # best gain of adding k where it is absent
 
-    # (i, k) -> distances for object k once the copy at i is gone; a swap
-    # changes only its two objects' columns, so other entries stay exact
-    removal = {}
+    def reprice(objs):
+        near[:, objs], after[:, objs] = _runner_up(x[:, objs], hop, dorg)
+        absent = ~x[:, objs]
+        colmax[objs] = np.where(absent, gains[:, objs], -np.inf).max(axis=0)
+        loss[:, objs] = 0.0
+        regain[:, objs] = colmax[objs]
+        c_ix, r_ix = np.nonzero((after[:, objs] > curdist[:, objs]).T)  # a tie for nearest never moves
+        if not r_ix.size:
+            return
+        k_ix = objs[c_ix]
+        key = k_ix * n + near[r_ix, k_ix]
+        order = np.argsort(key, kind="stable")
+        r_ix, k_ix, key = r_ix[order], k_ix[order], key[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        rows, cols = near[r_ix[starts], k_ix[starts]], k_ix[starts]
+        loss[rows, cols], regains = _drop_prices(qs, curdist, after, hop, r_ix, k_ix, starts)
+        regains += gains[:, cols].T
+        regains[x[:, cols].T] = -np.inf
+        regain[rows, cols] = regains.max(axis=1)
+
+    for objs in np.array_split(np.arange(m), -(-m * n * n // _CHUNK)):
+        reprice(objs)
     applied = 0
     while applied < max_iters:
-        found = False
-        for i, k in zip(*np.nonzero(x)):
-            i, k = int(i), int(k)
-            dist_wo = removal.get((i, k))
-            if dist_wo is None:
-                without = x[:, k:k + 1].copy()
-                without[i] = False
-                dist_wo = removal[i, k] = nearest_copy(without, instance)[:, 0]
-            loss = float(qs[:, k] @ (dist_wo - curdist[:, k]))
-            room = slack + float(sizes[k])
-            delta = gains - loss
-            # same-object gains must be re-scored against the post-removal distances
-            delta[:, k] = _gain_column(qs[:, k], dist_wo, hop) - loss
-            candidate = ~x & (sizes[None, :] <= room + 1e-9) & (delta > _EPS)
-            candidate[i, k] = False  # re-inserting the removed copy is a no-op
-            flat = np.flatnonzero(candidate.ravel())
-            if flat.size:
-                j, k2 = divmod(int(flat[0]), m)
-                x[i, k] = False
-                x[j, k2] = True
-                slack = slack + float(sizes[k]) - float(sizes[k2])
-                curdist[:, [k, k2]] = nearest_copy(x[:, [k, k2]], instance)
-                for c in (k, k2):
-                    gains[:, c] = _gain_column(qs[:, c], curdist[:, c], hop)
-                removal = {key: d for key, d in removal.items() if key[1] not in (k, k2)}
-                applied += 1
-                found = True
-                break
-        if not found:
+        room = slack + sizes  # capacity once a copy of k is dropped
+        fits = sizes[None, :] <= room[:, None] + 1e-9  # fits[k, k2]: k2 fits where k was
+        np.fill_diagonal(fits, False)
+        other = np.where(fits, colmax, -np.inf).max(axis=1)
+        rows, cols = np.nonzero(x)
+        same = np.where(sizes[cols] <= room[cols] + 1e-9, regain[rows, cols], -np.inf)
+        best = np.maximum(other[cols], same)
+        # fl(g - loss) is monotone in g, so the best gain decides for every candidate
+        first = np.flatnonzero(best - loss[rows, cols] > _EPS)
+        if not first.size:
             break
+        i, k = int(rows[first[0]]), int(cols[first[0]])
+        delta = gains - loss[i, k]
+        moved = np.flatnonzero((near[:, k] == i) & (after[:, k] > curdist[:, k]))
+        if moved.size:  # re-score column k exactly as reprice did for the test
+            shift = _drop_prices(qs, curdist, after, hop, moved, k, [0])[1][0]
+            delta[:, k] = gains[:, k] + shift - loss[i, k]
+        candidate = ~x & (sizes[None, :] <= room[k] + 1e-9) & (delta > _EPS)
+        j, k2 = divmod(int(np.flatnonzero(candidate.ravel())[0]), m)
+        x[i, k] = False
+        x[j, k2] = True
+        slack = slack + float(sizes[k]) - float(sizes[k2])
+        curdist[:, [k, k2]] = nearest_copy(x[:, [k, k2]], instance)
+        touched = np.array(sorted({k, k2}))  # not np.unique, which imports numpy.ma (about 1 MB)
+        for c in touched:
+            gains[:, c] = _gain_column(qs[:, c], curdist[:, c], hop)
+        reprice(touched)
+        applied += 1
     out = Placement(x, _budgets_from_usage(x, sizes, instance.c_sum))
-    return SolveResult(out, placement_cost(out, instance),
-                       {"method": "local_search", "iterations": applied})
+    return SolveResult(out, _traffic(curdist, instance), {"method": "local_search", "iterations": applied})
 
 
 def solve(instance: Instance) -> SolveResult:

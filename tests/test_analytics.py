@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cachenet import analytics
 from cachenet.analytics import (
     ControllerDecision,
     EmptyTelemetryError,
@@ -12,7 +13,15 @@ from cachenet.analytics import (
     estimate_to_csv,
 )
 from cachenet.netmodel import Catalog, DemandMatrix, zipf_popularity
-from cachenet.optimizer import Instance, check_feasibility, exact_solve, placement_cost, solve
+from cachenet.optimizer import (
+    Instance,
+    Placement,
+    SolveResult,
+    check_feasibility,
+    exact_solve,
+    placement_cost,
+    solve,
+)
 from cachenet.simnet import TelemetryLog
 from util import random_instance
 
@@ -126,7 +135,6 @@ class TestControllerEpoch:
             assert check_feasibility(decision.placement, inst).ok
             est_inst = Instance(inst.topology, inst.catalog,
                                 DemandMatrix(estimate_demand(log, 1.0).rates_hat), inst.c_sum)
-            from cachenet.optimizer import Placement
             empty_cost = placement_cost(Placement.empty(inst.n, inst.m, inst.c_sum), est_inst)
             assert decision.estimated_cost <= empty_cost + 1e-9
 
@@ -141,6 +149,16 @@ class TestControllerEpoch:
         direct = solve(scaled)
         assert decision.estimated_cost == pytest.approx(direct.cost)
         assert np.array_equal(decision.placement.x, direct.placement.x)
+
+    def test_infeasible_solution_raises(self, monkeypatch):
+        # an explicit check, so it still runs under python -O
+        rng = np.random.default_rng(37)
+        inst = random_instance(rng, c_max=3)
+        overfull = Placement(np.ones((inst.n, inst.m), dtype=bool), np.zeros(inst.n))
+        monkeypatch.setattr(analytics, "solve", lambda instance: SolveResult(overfull, 0.0, {}))
+        log = log_with_counts(np.ones((inst.n, inst.m), dtype=np.int64))
+        with pytest.raises(RuntimeError, match="infeasible placement"):
+            controller_epoch(log, inst.topology, inst.catalog, inst.c_sum, 0)
 
 
 class TestExports:

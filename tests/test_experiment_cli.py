@@ -255,6 +255,22 @@ class TestCli:
         path.write_text(json.dumps(tiny_spec_dict(values=[])))
         assert main(["run", str(path)]) == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_run_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(tiny_spec_dict()))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(path), "--jobs", jobs, "--output", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_demo_unwritable_output(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["demo", "--output", str(blocker / "demo")]) == 1
+        assert capsys.readouterr().out.startswith("error:")
+
     def test_demo(self, tmp_path):
         out = tmp_path / "demo"
         assert main(["demo", "--output", str(out)]) == 0

@@ -28,6 +28,11 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def assert_lines(source: str) -> list:
+    """Lines of ``assert`` statements, which ``python -O`` strips."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
 def test_detector_finds_unused_import():
     assert unused_imports("import os\nimport sys\nprint(sys)\n") == [(1, "os")]
     assert unused_imports("from __future__ import annotations\nfrom a import b as c\n") == [(2, "c")]
@@ -37,3 +42,12 @@ def test_detector_finds_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_detector_finds_assert():
+    assert assert_lines("x = 1\nassert x, 'never under -O'\nif not x:\n    raise ValueError\n") == [2]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_lines(path.read_text()) == []

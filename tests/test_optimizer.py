@@ -3,8 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from cachenet.netmodel import Catalog, DemandMatrix, Topology, all_pairs_hops, zipf_popularity
+from cachenet.netmodel import (
+    Catalog,
+    DemandMatrix,
+    Topology,
+    all_pairs_hops,
+    generate_power_law_topology,
+    zipf_popularity,
+)
 from cachenet.optimizer import (
+    _EPS,
     ORIGIN,
     Instance,
     InstanceTooLargeError,
@@ -17,6 +25,7 @@ from cachenet.optimizer import (
     local_search,
     nearest_copy,
     placement_cost,
+    placement_digest,
     placement_to_csv,
     solve,
 )
@@ -318,7 +327,92 @@ class TestGreedy:
             assert check_feasibility(greedy_solve(inst).placement, inst).ok
 
 
+def naive_local_search(instance, x, max_iters):
+    """Reference swap search: residents in (node, object) order, candidates
+    (j, k2) row-major, each swap scored by recomputing the whole cost from
+    the nearest-copy kernel; the first that improves by more than _EPS is
+    applied and the scan restarts. Returns (x, swaps)."""
+    sizes = instance.catalog.sizes
+    weight = instance.demand.rates * sizes[None, :]
+
+    def cost(y):
+        return float((weight * nearest_copy(y, instance)).sum())
+
+    x = x.copy()
+    slack = float(instance.c_sum - (x @ sizes).sum())
+    swaps = 0
+    while swaps < max_iters:
+        base = cost(x)
+        swap = None
+        for i, k in zip(*np.nonzero(x)):
+            for j, k2 in itertools.product(range(instance.n), range(instance.m)):
+                if x[j, k2] or sizes[k2] > slack + sizes[k] + 1e-9:
+                    continue
+                y = x.copy()
+                y[i, k], y[j, k2] = False, True
+                if base - cost(y) > _EPS:
+                    swap = i, k, j, k2
+                    break
+            if swap:
+                break
+        if swap is None:
+            break
+        i, k, j, k2 = swap
+        x[i, k], x[j, k2] = False, True
+        slack = slack + float(sizes[k]) - float(sizes[k2])
+        swaps += 1
+    return x, swaps
+
+
+def random_placement(rng, instance):
+    """A feasible placement far from any local optimum: random copies added
+    in random order while the pool allows."""
+    x = np.zeros((instance.n, instance.m), dtype=bool)
+    pool = instance.c_sum
+    for flat in rng.permutation(instance.n * instance.m):
+        j, k = divmod(int(flat), instance.m)
+        if instance.catalog.sizes[k] <= pool + 1e-9 and rng.random() < 0.6:
+            x[j, k] = True
+            pool -= instance.catalog.sizes[k]
+    return Placement(x, np.zeros(instance.n))
+
+
+def desk_instance():
+    """64 routers x 200 objects at cache fraction 0.10, demand estimated as in
+    the control loop: 30,000 sampled request counts plus smoothing 1."""
+    n, m = 64, 200
+    topo = generate_power_law_topology(n, 2, seed=5)
+    catalog = Catalog.uniform_sizes(m, 0.8)
+    rng = np.random.default_rng(2)
+    counts = np.zeros((n, m))
+    np.add.at(counts, (rng.integers(0, n, 30000), rng.choice(m, 30000, p=catalog.popularity)), 1.0)
+    return Instance(topo, catalog, DemandMatrix(counts + 1.0), float(round(0.10 * m) * n))
+
+
+DESK_DIGEST = "ffb11f5f2e5976643d9d94a9f34c695fa4e27c1b3db6eaca19378631569b243b"
+DESK_COST = 36840.0  # greedy alone: 36882.0
+DESK_SWAPS = 26
+
+
 class TestLocalSearch:
+    def test_matches_naive_reference(self):
+        rng = np.random.default_rng(23)
+        for trial in range(360):
+            inst = random_instance(rng, n_max=5, m_max=5, c_max=6, unit_sizes=trial % 2 == 0)
+            if trial % 3 == 0:  # a free origin ties routers at the origin's attachment point
+                topo = inst.topology
+                inst = Instance(Topology(topo.node_count, topo.edges, topo.hop_matrix, topo.origin_attach, 0),
+                                inst.catalog, inst.demand, inst.c_sum)
+            if trial < 300:
+                inst = integer_rates(inst)
+            start = random_placement(rng, inst) if trial % 4 else greedy_solve(inst).placement
+            for cap in (1, 2, 10 * inst.n * inst.m):
+                fast = local_search(inst, start, cap)
+                x, swaps = naive_local_search(inst, start.x, cap)
+                assert np.array_equal(fast.placement.x, x), (trial, cap)
+                assert fast.diagnostics["iterations"] == swaps, (trial, cap)
+                assert fast.cost == placement_cost(Placement(x, fast.placement.budgets), inst), (trial, cap)
+
     def find_trap(self):
         rng = np.random.default_rng(7)
         for _ in range(500):
@@ -385,6 +479,13 @@ class TestSolvePipeline:
             gr = greedy_solve(inst)
             full = solve(inst)
             assert ex.cost <= full.cost + 1e-9 <= gr.cost + 2e-9
+
+    def test_desk_scale_pinned(self):
+        # only 4x5 instances reach the exact solver; this pins the search at desk scale
+        result = solve(desk_instance())
+        assert placement_digest(result.placement) == DESK_DIGEST
+        assert result.cost == DESK_COST
+        assert result.diagnostics["swaps"] == DESK_SWAPS
 
     def test_placement_csv(self, tmp_path):
         rng = np.random.default_rng(20)

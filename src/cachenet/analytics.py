@@ -8,7 +8,6 @@ harness to install at the epoch boundary.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,6 @@ from .optimizer import (
     Instance,
     Placement,
     check_feasibility,
-    placement_digest,
     solve,
 )
 
@@ -28,8 +26,6 @@ __all__ = [
     "EmptyTelemetryError",
     "estimate_demand",
     "controller_epoch",
-    "estimate_to_csv",
-    "append_decision_log",
 ]
 
 
@@ -80,22 +76,3 @@ def controller_epoch(telemetry_log, topology: Topology, catalog: Catalog,
     return ControllerDecision(result.placement, epoch_index, result.cost,
                               {**result.diagnostics, "sample_count": estimate.sample_count})
 
-
-def estimate_to_csv(estimate: DemandEstimate, path) -> None:
-    n, m = estimate.rates_hat.shape
-    with open(path, "w") as fh:
-        fh.write("node,object,rate_hat\n")
-        for i in range(n):
-            for k in range(m):
-                fh.write(f"{i},{k},{float(estimate.rates_hat[i, k])!r}\n")
-
-
-def append_decision_log(decision: ControllerDecision, path) -> None:
-    """JSON-lines decision log: epoch, estimated cost, placement digest."""
-    record = {
-        "epoch_index": decision.epoch_index,
-        "estimated_cost": decision.estimated_cost,
-        "placement_digest": placement_digest(decision.placement),
-    }
-    with open(path, "a") as fh:
-        fh.write(json.dumps(record) + "\n")

@@ -14,11 +14,14 @@ import sys
 from .experiment import ConfigError, demo_spec, load_spec, run_experiment
 
 
-def _jobs(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,9 +31,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a sweep spec")
     run_p.add_argument("spec", help="path to a JSON sweep spec")
-    run_p.add_argument("--seed-override", type=int, default=None,
+    run_p.add_argument("--seed-override", type=_at_least(0), default=None,
                        help="run every cell with this single seed")
-    run_p.add_argument("--jobs", type=_jobs, default=1, help="parallel worker processes")
+    run_p.add_argument("--jobs", type=_at_least(1), default=1, help="parallel worker processes")
     run_p.add_argument("--output", default=None, help="output directory (overrides spec)")
 
     val_p = sub.add_parser("validate", help="validate a sweep spec without running")

@@ -129,6 +129,8 @@ def validate_spec(spec: ExperimentSpec) -> list:
         diags.append(f"seeds: must be a list of integers, got {spec.seeds!r}")
     elif not spec.seeds:
         diags.append("seeds: must be nonempty")
+    elif min(spec.seeds) < 0:
+        diags.append(f"seeds: must be nonnegative, got {min(spec.seeds)}")
     elif len(set(spec.seeds)) != len(spec.seeds):
         diags.append("seeds: must be distinct")
     if not isinstance(spec.schemes, list) or not spec.schemes:

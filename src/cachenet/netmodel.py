@@ -8,7 +8,7 @@ catalog, and the per-node per-object request-rate matrix.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "zipf_popularity",
     "build_demand",
     "save_topology",
-    "load_topology",
     "catalog_to_csv",
     "demand_to_csv",
 ]
@@ -211,16 +210,11 @@ def generate_power_law_topology(n: int, m_attach: int, seed: int) -> Topology:
         for t in sorted(targets):
             edges.add((t, new))
             stubs.extend((t, new))
-    hop = all_pairs_hops(n, edges)
-    deg = np.zeros(n, dtype=int)
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    origin_attach = int(np.argmax(deg))  # argmax takes the lowest index on ties
     expected = (seed_size - 1) + (n - seed_size) * m_attach
     if len(edges) != expected:
         raise RuntimeError(f"attachment rule fixes the edge count at {expected}, built {len(edges)}")
-    return Topology(n, frozenset(edges), hop, origin_attach)
+    topology = Topology(n, frozenset(edges), all_pairs_hops(n, edges), 0)
+    return replace(topology, origin_attach=int(np.argmax(topology.degrees())))  # lowest index on ties
 
 
 def zipf_popularity(m: int, alpha: float) -> np.ndarray:
@@ -253,24 +247,6 @@ def save_topology(topology: Topology, path) -> None:
                  f"penalty {topology.origin_penalty}\n")
         for u, v in sorted(topology.edges):
             fh.write(f"{u} {v}\n")
-
-
-def load_topology(path) -> Topology:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 6 or header[0] != "nodes" or header[2] != "origin" or header[4] != "penalty":
-            raise InvalidParameterError(f"bad topology header in {path}")
-        n, origin, penalty = int(header[1]), int(header[3]), int(header[5])
-        edges = set()
-        for line in fh:
-            if not line.strip():
-                continue
-            u, v = map(int, line.split())
-            if u == v:
-                raise InvalidParameterError("self-loop in edge list")
-            edges.add((min(u, v), max(u, v)))
-    hop = all_pairs_hops(n, edges)
-    return Topology(n, frozenset(edges), hop, origin, penalty)
 
 
 def catalog_to_csv(catalog: Catalog, path) -> None:

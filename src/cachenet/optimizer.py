@@ -11,7 +11,6 @@ marginal-gain insertion, and a first-improvement swap local search.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import itertools
 from dataclasses import dataclass, field
@@ -36,7 +35,6 @@ __all__ = [
     "greedy_solve",
     "local_search",
     "solve",
-    "placement_to_csv",
     "placement_digest",
 ]
 
@@ -442,18 +440,6 @@ def solve(instance: Instance) -> SolveResult:
         "swaps": refined.diagnostics["iterations"],
     }
     return SolveResult(refined.placement, refined.cost, diagnostics)
-
-
-def placement_to_csv(placement: Placement, path) -> None:
-    """Resident copies as node,object rows, then budgets as node,budget rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "object"])
-        for i, k in zip(*np.nonzero(placement.x)):
-            writer.writerow([int(i), int(k)])
-        writer.writerow(["node", "budget"])
-        for i, b in enumerate(placement.budgets):
-            writer.writerow([i, repr(float(b))])
 
 
 def placement_digest(placement: Placement) -> str:

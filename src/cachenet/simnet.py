@@ -1,14 +1,15 @@
 """Request-driven simulation of the caching switch fabric.
 
-Routers hold caches (pinned, LRU, or LFU), requests fetch from the nearest
-copy over shortest paths, and a telemetry log records per (node, object)
-request counts, hits, and served hops. The leave-copy-everywhere schemes
-insert the fetched object at every router on the reply path.
+Requests fetch from the nearest copy over shortest paths, and a telemetry
+log records per (node, object) request counts, hits, and served hops. An
+installed placement (OPTIMIZED, RANDOM_STATIC, NO_CACHE) is served from one
+record of its copies and their nearest-copy distances. The
+leave-copy-everywhere schemes keep an LRU or LFU cache per router and insert
+the fetched object at every router on the reply path.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from collections import OrderedDict
@@ -47,12 +48,10 @@ __all__ = [
     "apply_placement",
     "run_epoch",
     "run_simulation",
-    "telemetry_to_csv",
 ]
 
 
 class Policy(Enum):
-    PINNED = "pinned"
     LRU = "lru"
     LFU = "lfu"
 
@@ -120,6 +119,10 @@ class SimConfig:
             raise InvalidParameterError("cache_fraction must be in (0, 1]")
         if self.scheme is not Scheme.NO_CACHE and self.cache_fraction * self.objects < 1:
             raise InvalidParameterError("cache_fraction * objects must be >= 1 unless NO_CACHE")
+        if self.seed < 0:
+            raise InvalidParameterError("seed must be nonnegative")
+        if self.deterministic and self.scheme in (Scheme.LCE_LRU, Scheme.LCE_LFU):
+            raise InvalidParameterError("deterministic applies to installed placements, not LCE")
 
     @property
     def slots_per_node(self) -> int:
@@ -134,12 +137,12 @@ class SimConfig:
 
 
 class Cache:
-    """Single-router cache; sizes are in the catalog's size units."""
+    """Single-router LCE cache; sizes are in the catalog's size units."""
 
     def __init__(self, capacity: float, policy: Policy):
         self.capacity = float(capacity)
         self.policy = policy
-        # key -> size for PINNED/LRU (OrderedDict gives recency order),
+        # key -> size for LRU (OrderedDict gives recency order),
         # key -> [freq, size] for LFU
         self._items: OrderedDict = OrderedDict()
         self.used = 0.0
@@ -154,16 +157,15 @@ class Cache:
         """Record an access to a resident object (hit bookkeeping)."""
         if self.policy is Policy.LRU:
             self._items.move_to_end(obj)
-        elif self.policy is Policy.LFU:
+        else:
             self._items[obj][0] += 1
 
     def insert(self, obj: int, size: float) -> list:
         """Insert ``obj``, evicting per policy; returns the evicted objects.
 
-        PINNED caches never insert dynamically. Objects larger than the
-        whole cache are not admitted.
+        Objects larger than the whole cache are not admitted.
         """
-        if self.policy is Policy.PINNED or obj in self._items or size > self.capacity:
+        if obj in self._items or size > self.capacity:
             return []
         evicted = []
         while self.used + size > self.capacity:
@@ -180,14 +182,6 @@ class Cache:
             return next(iter(self._items))
         # LFU: lowest frequency, ties toward the lowest object id
         return min(self._items, key=lambda o: (self._items[o][0], o))
-
-    def pin(self, objects, sizes) -> None:
-        """Replace contents with a fixed resident set (policy becomes PINNED)."""
-        self.policy = Policy.PINNED
-        self._items = OrderedDict((int(o), float(sizes[o])) for o in objects)
-        self.used = float(sum(self._items.values()))
-        if self.used > self.capacity + 1e-9:
-            raise InvalidParameterError("pinned residents exceed capacity")
 
 
 @dataclass(eq=False)
@@ -210,42 +204,37 @@ class TelemetryLog:
 
 
 class NetworkState:
-    """Mutable simulation state: caches, holder index, and telemetry.
+    """Mutable simulation state: telemetry plus how requests are served.
 
-    Once ``apply_placement`` has run, ``placement`` holds the installed
-    placement and ``placement_dist`` its nearest-copy distances, and every
-    cache stays pinned.
+    ``NetworkState(instance)`` serves the placement that ``apply_placement``
+    installs: ``placement`` and its nearest-copy distances ``placement_dist``
+    are the only record of residency. ``NetworkState(instance, capacities,
+    policy)`` is a leave-copy-everywhere state with one LRU or LFU cache per
+    router, a holder index per object, and the next-hop table.
     """
 
-    def __init__(self, instance: Instance, capacities, policy: Policy):
+    def __init__(self, instance: Instance, capacities=None, policy: Policy | None = None):
         self.instance = instance
         n, m = instance.n, instance.m
+        self.telemetry = TelemetryLog.empty(n, m)
+        self.placement = None
+        self.placement_dist = None
+        if policy is None:
+            return
         self.caches = [Cache(capacities[i], policy) for i in range(n)]
         self.holders = [set() for _ in range(m)]
-        self.telemetry = TelemetryLog.empty(n, m)
         self.next_hop = bfs_next_hop(instance.topology.hop_matrix, instance.topology.edges)
         # python-native copies for the per-request fast path
         self._hop = instance.topology.hop_matrix.tolist()
         self._dorg = [int(d) for d in instance.topology.origin_distances]
         self._sizes = instance.catalog.sizes.tolist()
-        self.placement = None
-        self.placement_dist = None
 
 
 def apply_placement(state: NetworkState, placement: Placement) -> None:
-    """Install a controller placement: pin residents, set budgets as
-    capacities, discard previous contents, keep telemetry."""
+    """Install a controller placement in place of the previous one; keep telemetry."""
     report = check_feasibility(placement, state.instance)
     if not report.ok:
         raise InvalidParameterError(f"infeasible placement: {report.violations}")
-    sizes = state.instance.catalog.sizes
-    for i, cache in enumerate(state.caches):
-        cache.capacity = float(placement.budgets[i])
-        cache.pin(np.flatnonzero(placement.x[i]), sizes)
-    state.holders = [set() for _ in range(state.instance.m)]
-    rows, cols = np.nonzero(placement.x)
-    for i, k in zip(rows.tolist(), cols.tolist()):
-        state.holders[k].add(i)
     state.placement = placement.copy()
     state.placement_dist = nearest_copy(placement.x, state.instance)
 
@@ -264,10 +253,10 @@ def _nearest_supplier(state: NetworkState, node: int, obj: int):
 
 
 def handle_request(state: NetworkState, node: int, obj: int) -> int:
-    """Serve one request; returns hops traversed (0 on a local hit).
+    """Serve one request on an LCE state; returns hops traversed (0 on a local hit).
 
-    Leave-copy-everywhere policies insert the object at every router on
-    the reply path, evicting per the cache policy.
+    A miss inserts the object at every router on the reply path, evicting
+    per the cache policy.
     """
     tele = state.telemetry
     tele.request_count[node, obj] += 1
@@ -278,15 +267,14 @@ def handle_request(state: NetworkState, node: int, obj: int) -> int:
         return 0
     supplier, hops = _nearest_supplier(state, node, obj)
     tele.hops_accumulated[node, obj] += hops
-    if cache.policy in (Policy.LRU, Policy.LFU):
-        size = state._sizes[obj]
-        tail = state.instance.topology.origin_attach if supplier == ORIGIN else supplier
-        for stop in shortest_path(state.next_hop, node, tail):
-            evicted = state.caches[stop].insert(obj, size)
-            if obj in state.caches[stop]:
-                state.holders[obj].add(stop)
-            for victim in evicted:
-                state.holders[victim].discard(stop)
+    size = state._sizes[obj]
+    tail = state.instance.topology.origin_attach if supplier == ORIGIN else supplier
+    for stop in shortest_path(state.next_hop, node, tail):
+        evicted = state.caches[stop].insert(obj, size)
+        if obj in state.caches[stop]:
+            state.holders[obj].add(stop)
+        for victim in evicted:
+            state.holders[victim].discard(stop)
     return hops
 
 
@@ -313,28 +301,21 @@ def run_epoch(config: SimConfig, state: NetworkState, rng: np.random.Generator) 
     """Process one epoch of requests and return its metrics.
 
     Stochastic mode draws requesters uniformly and objects from the catalog
-    popularity. Deterministic mode sweeps every (node, object) pair once
-    and weights the metrics by demand, so the measured average hops equals
-    the optimizer objective exactly for pinned placements.
+    popularity. Deterministic mode, for an installed placement, requests
+    every (node, object) pair once and weights the metrics by demand, so
+    the measured average hops equals the optimizer objective exactly.
     """
     inst = state.instance
     if config.deterministic:
+        x, dist = state.placement.x, state.placement_dist
+        tele = state.telemetry
+        tele.request_count += 1
+        tele.hit_count += x
+        tele.hops_accumulated += dist.astype(np.int64)
         q = inst.demand.rates
         w_hops = q * inst.catalog.sizes[None, :]
-        total_w = 0.0
-        hop_w = 0.0
-        hit_w = 0.0
-        req_w = 0.0
-        for i in range(inst.n):
-            for k in range(inst.m):
-                resident = k in state.caches[i]
-                hops = handle_request(state, i, k)
-                total_w += w_hops[i, k]
-                hop_w += w_hops[i, k] * hops
-                req_w += q[i, k]
-                if resident:
-                    hit_w += q[i, k]
-        return EpochMetrics(hop_w / total_w, hit_w / req_w, inst.n * inst.m)
+        return EpochMetrics(float((w_hops * dist).sum() / w_hops.sum()),
+                            float(q[x].sum() / q.sum()), inst.n * inst.m)
 
     requesters = rng.integers(0, inst.n, size=config.requests_per_epoch)
     objects = rng.choice(inst.m, size=config.requests_per_epoch, p=inst.catalog.popularity)
@@ -378,13 +359,13 @@ def _initial_state(config: SimConfig, instance: Instance, place_rng: np.random.G
     if config.scheme in (Scheme.LCE_LRU, Scheme.LCE_LFU):
         policy = Policy.LRU if config.scheme is Scheme.LCE_LRU else Policy.LFU
         return NetworkState(instance, capacities, policy)
-    # NO_CACHE has zero slots; OPTIMIZED warms up on an equal split with empty caches
+    # NO_CACHE has zero slots; OPTIMIZED warms up on an empty placement with equal budgets
     x = np.zeros((n, m), dtype=bool)
     if config.scheme is Scheme.RANDOM_STATIC:
         for i in range(n):
             x[i, place_rng.choice(m, size=slots, replace=False)] = True
-    state = NetworkState(instance, capacities, Policy.PINNED)
-    apply_placement(state, Placement(x, capacities.copy()))
+    state = NetworkState(instance)
+    apply_placement(state, Placement(x, capacities))
     return state
 
 
@@ -417,12 +398,3 @@ def run_simulation(config: SimConfig) -> MetricsReport:
     return MetricsReport(config.scheme, config, epoch_metrics,
                          hops / total, hits / total, total, state.telemetry)
 
-
-def telemetry_to_csv(log: TelemetryLog, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "object", "request_count", "hit_count", "hops_accumulated"])
-        nonzero = np.nonzero(log.request_count)
-        for i, k in zip(*nonzero):
-            writer.writerow([int(i), int(k), int(log.request_count[i, k]),
-                             int(log.hit_count[i, k]), int(log.hops_accumulated[i, k])])

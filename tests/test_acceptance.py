@@ -122,7 +122,7 @@ def test_criterion_3_simulator_objective_identity():
         inst = Instance(inst.topology, inst.catalog, inst.demand, float(x.sum()))
         budgets = x.sum(axis=1).astype(float)
         placement = Placement(x, budgets)
-        state = NetworkState(inst, budgets, Policy.PINNED)
+        state = NetworkState(inst)
         apply_placement(state, placement)
         cfg = SimConfig(Scheme.OPTIMIZED, nodes=inst.n, objects=inst.m, m_attach=1,
                         deterministic=True, epochs=2, warmup_epochs=0,
@@ -203,7 +203,7 @@ def test_criterion_7_closed_loop_convergence():
     topo_ss, req_ss, _ = ss.spawn(3)
     inst = build_instance(cfg, int(topo_ss.generate_state(1)[0]))
     optimum = exact_solve(inst).cost
-    state = NetworkState(inst, np.full(inst.n, 1.0), Policy.PINNED)
+    state = NetworkState(inst)
     apply_placement(state, Placement(np.zeros((inst.n, inst.m), dtype=bool), np.full(inst.n, 1.0)))
     req_rng = np.random.default_rng(req_ss)
     decision_costs = []

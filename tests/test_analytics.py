@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,10 +5,8 @@ from cachenet import analytics
 from cachenet.analytics import (
     ControllerDecision,
     EmptyTelemetryError,
-    append_decision_log,
     controller_epoch,
     estimate_demand,
-    estimate_to_csv,
 )
 from cachenet.netmodel import Catalog, DemandMatrix, zipf_popularity
 from cachenet.optimizer import (
@@ -159,29 +155,3 @@ class TestControllerEpoch:
         log = log_with_counts(np.ones((inst.n, inst.m), dtype=np.int64))
         with pytest.raises(RuntimeError, match="infeasible placement"):
             controller_epoch(log, inst.topology, inst.catalog, inst.c_sum, 0)
-
-
-class TestExports:
-    def test_estimate_csv(self, tmp_path):
-        est = estimate_demand(log_with_counts(np.arange(4).reshape(2, 2)), smoothing=0.5)
-        path = tmp_path / "estimate.csv"
-        estimate_to_csv(est, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "node,object,rate_hat"
-        assert lines[1] == "0,0,0.5"
-
-    def test_decision_jsonl(self, tmp_path):
-        rng = np.random.default_rng(36)
-        inst = random_instance(rng, c_max=3)
-        log = log_with_counts(np.round(inst.demand.rates * 100).astype(np.int64))
-        decision = controller_epoch(log, inst.topology, inst.catalog, inst.c_sum, 4)
-        path = tmp_path / "decisions.jsonl"
-        append_decision_log(decision, path)
-        append_decision_log(decision, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        record = json.loads(lines[0])
-        assert record["epoch_index"] == 4
-        assert record["estimated_cost"] == decision.estimated_cost
-        assert len(record["placement_digest"]) == 64
-        assert lines[0] == lines[1]

@@ -33,7 +33,8 @@ UNRUNNABLE = [("nodes", 2), ("alpha", -1), ("smoothing", -1), ("per_node_rate", 
 MISTYPED = [("nodes", "abc", "nodes_str"), ("values", ["0.1"], "values_str"),
             ("nodes", 5.5, "nodes_float"), ("seeds", [0.5], "seeds_float"),
             ("alpha", float("nan"), "alpha_nan"), ("per_node_rate", 5e-324, "per_node_rate_subnormal")]
-BAD_SPECS = ([pytest.param("seeds", [2, 2], id="seeds")]
+BAD_SPECS = ([pytest.param("seeds", [2, 2], id="seeds"),
+              pytest.param("seeds", [0, -1], id="seeds_negative")]
              + [pytest.param(f, v, id=f) for f, v in UNRUNNABLE]
              + [pytest.param(f, v, id=i) for f, v, i in MISTYPED])
 
@@ -263,6 +264,15 @@ class TestCli:
             main(["run", str(path), "--jobs", jobs, "--output", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_rejects_negative_seed_override(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(tiny_spec_dict()))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(path), "--seed-override", "-3", "--output", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--seed-override" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_demo_unwritable_output(self, tmp_path, capsys):

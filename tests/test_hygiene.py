@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,13 @@ def test_detector_finds_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_exports_defined(path):
+    """Every ``__all__`` name exists, so ``from cachenet.<module> import *`` works."""
+    module = importlib.import_module(f"cachenet.{path.stem}")
+    assert [name for name in getattr(module, "__all__", []) if not hasattr(module, name)] == []
 
 
 def test_detector_finds_assert():

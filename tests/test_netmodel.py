@@ -16,7 +16,6 @@ from cachenet.netmodel import (
     catalog_to_csv,
     demand_to_csv,
     generate_power_law_topology,
-    load_topology,
     save_topology,
     shortest_path,
     zipf_popularity,
@@ -213,11 +212,9 @@ class TestInterchange:
         topo = generate_power_law_topology(12, 2, seed=3)
         path = tmp_path / "topo.txt"
         save_topology(topo, path)
-        loaded = load_topology(path)
-        assert loaded.edges == topo.edges
-        assert loaded.origin_attach == topo.origin_attach
-        assert loaded.origin_penalty == topo.origin_penalty
-        assert np.array_equal(loaded.hop_matrix, topo.hop_matrix)
+        lines = path.read_text().splitlines()
+        assert lines[0] == f"nodes 12 origin {topo.origin_attach} penalty 3"
+        assert lines[1:] == [f"{u} {v}" for u, v in sorted(topo.edges)]
 
     def test_catalog_and_demand_csv(self, tmp_path):
         topo = generate_power_law_topology(3, 1, seed=0)

@@ -26,7 +26,6 @@ from cachenet.optimizer import (
     nearest_copy,
     placement_cost,
     placement_digest,
-    placement_to_csv,
     solve,
 )
 from util import nearest_assignment, random_instance
@@ -486,15 +485,3 @@ class TestSolvePipeline:
         assert placement_digest(result.placement) == DESK_DIGEST
         assert result.cost == DESK_COST
         assert result.diagnostics["swaps"] == DESK_SWAPS
-
-    def test_placement_csv(self, tmp_path):
-        rng = np.random.default_rng(20)
-        inst = random_instance(rng, c_max=3)
-        result = solve(inst)
-        path = tmp_path / "placement.csv"
-        placement_to_csv(result.placement, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "node,object"
-        copies = int(result.placement.x.sum())
-        assert "node,budget" in lines
-        assert len(lines) == 1 + copies + 1 + inst.n

@@ -29,7 +29,6 @@ from cachenet.simnet import (
     handle_request,
     run_epoch,
     run_simulation,
-    telemetry_to_csv,
 )
 from util import nearest_assignment, random_instance
 
@@ -40,6 +39,20 @@ def path_instance(n, m, alpha=0.5, origin_attach=0, penalty=3, c_sum=0.0):
     catalog = Catalog(m, np.ones(m), alpha, zipf_popularity(m, alpha))
     rates = np.tile(catalog.popularity, (n, 1))
     return Instance(topo, catalog, DemandMatrix(rates), c_sum)
+
+
+def installed(inst, x, budgets):
+    """A state serving placement ``(x, budgets)``."""
+    state = NetworkState(inst)
+    apply_placement(state, Placement(x, np.asarray(budgets, dtype=float)))
+    return state
+
+
+def deterministic_epoch(state):
+    """One deterministic epoch: every (node, object) pair requested once."""
+    cfg = SimConfig(Scheme.OPTIMIZED, nodes=state.instance.n, objects=state.instance.m, m_attach=1,
+                    deterministic=True, epochs=2, warmup_epochs=0, cache_fraction=1.0)
+    return run_epoch(cfg, state, np.random.default_rng(0))
 
 
 class ReferenceLRU:
@@ -104,11 +117,6 @@ class TestCache:
                 assert cache.used <= cache.capacity
                 assert len(cache.residents()) == len(set(cache.residents()))
 
-    def test_pinned_never_inserts(self):
-        cache = Cache(3, Policy.PINNED)
-        cache.insert(1, 1.0)
-        assert 1 not in cache
-
     def test_oversized_object_not_admitted(self):
         cache = Cache(2, Policy.LRU)
         cache.insert(1, 5.0)
@@ -118,19 +126,19 @@ class TestCache:
 class TestHandleRequest:
     def test_local_hit(self):
         inst = path_instance(3, 2, c_sum=3.0)
-        state = NetworkState(inst, [1.0, 1.0, 1.0], Policy.PINNED)
         x = np.zeros((3, 2), dtype=bool)
         x[1, 0] = True
-        apply_placement(state, Placement(x, np.array([1.0, 1.0, 1.0])))
-        assert handle_request(state, 1, 0) == 0
+        state = installed(inst, x, [1.0, 1.0, 1.0])
+        deterministic_epoch(state)
+        assert state.telemetry.hops_accumulated[1, 0] == 0
         assert state.telemetry.hit_count[1, 0] == 1
 
     def test_no_cache_goes_to_origin(self):
         # path 0-1-2, origin at 0 with penalty 3, requester at node 2
         inst = path_instance(3, 1, penalty=3)
-        state = NetworkState(inst, [0.0, 0.0, 0.0], Policy.PINNED)
-        assert handle_request(state, 2, 0) == 2 + 3
-        assert state.telemetry.hops_accumulated[2, 0] == 5
+        state = installed(inst, np.zeros((3, 1), dtype=bool), [0.0, 0.0, 0.0])
+        deterministic_epoch(state)
+        assert state.telemetry.hops_accumulated[2, 0] == 2 + 3
         assert state.telemetry.hit_count[2, 0] == 0
 
     def test_lce_lru_capacity_one_thrashes(self):
@@ -153,12 +161,11 @@ class TestHandleRequest:
 
     def test_nearest_copy_wins_over_origin(self):
         inst = path_instance(3, 1, origin_attach=0, penalty=3, c_sum=1.0)
-        state = NetworkState(inst, [0.0, 0.0, 1.0], Policy.PINNED)
         x = np.zeros((3, 1), dtype=bool)
         x[2, 0] = True
-        apply_placement(state, Placement(x, np.array([0.0, 0.0, 1.0])))
-        assert handle_request(state, 1, 0) == 1  # node 2 beats origin at 1+3
-
+        state = installed(inst, x, [0.0, 0.0, 1.0])
+        deterministic_epoch(state)
+        assert state.telemetry.hops_accumulated[1, 0] == 1  # node 2 beats origin at 1+3
 
     def test_remote_hit_does_not_refresh_supplier(self):
         # path 0-1-2 with node 1 holding [0, 1]: serving node 0 from node 1's
@@ -199,8 +206,9 @@ class TestNearestSupplier:
             x = rng.random((inst.n, inst.m)) < rng.uniform(0.1, 0.7)
             budgets = x.sum(axis=1).astype(float)
             inst = Instance(topo, inst.catalog, inst.demand, float(budgets.sum()))
-            state = NetworkState(inst, budgets, Policy.PINNED)
-            apply_placement(state, Placement(x, budgets))
+            state = NetworkState(inst, budgets, Policy.LRU)
+            for i, k in zip(*np.nonzero(x)):
+                state.holders[k].add(int(i))
             dist, supplier = nearest_copy(x, inst, supplier=True)
             for i in range(inst.n):
                 for k in range(inst.m):
@@ -214,30 +222,43 @@ class TestNearestSupplier:
 class TestApplyPlacement:
     def test_empty_placement_empties_caches(self):
         inst = path_instance(3, 2, c_sum=6.0)
-        state = NetworkState(inst, [2.0] * 3, Policy.LRU)
-        handle_request(state, 2, 0)
+        state = installed(inst, np.ones((3, 2), dtype=bool), [2.0] * 3)
+        deterministic_epoch(state)
         apply_placement(state, Placement(np.zeros((3, 2), dtype=bool), np.array([6.0, 0.0, 0.0])))
-        assert all(not c.residents() for c in state.caches)
+        assert not state.placement.x.any()
+        assert np.array_equal(state.placement.budgets, [6.0, 0.0, 0.0])
+        assert np.array_equal(state.placement_dist, np.tile(inst.topology.origin_distances[:, None], 2))
         # telemetry preserved across reconfiguration
-        assert state.telemetry.request_count[2, 0] == 1
+        assert np.array_equal(state.telemetry.request_count, np.ones((3, 2)))
 
     def test_idempotent(self):
         inst = path_instance(3, 2, c_sum=3.0)
-        state = NetworkState(inst, [1.0] * 3, Policy.PINNED)
         x = np.zeros((3, 2), dtype=bool)
         x[0, 0] = x[2, 1] = True
         placement = Placement(x, np.array([1.0, 1.0, 1.0]))
+        state = installed(inst, placement.x, placement.budgets)
+        before = state.placement_dist.copy()
         apply_placement(state, placement)
-        before = [sorted(c.residents()) for c in state.caches]
-        apply_placement(state, placement)
-        assert [sorted(c.residents()) for c in state.caches] == before
+        x[1, 1] = True  # the record is a copy of what was installed
+        assert np.array_equal(state.placement.x, [[True, False], [False, False], [False, True]])
+        assert np.array_equal(state.placement_dist, before)
+        assert np.array_equal(state.placement_dist, nearest_copy(state.placement.x, inst))
 
     def test_infeasible_rejected(self):
         inst = path_instance(3, 2, c_sum=1.0)
-        state = NetworkState(inst, [1.0] * 3, Policy.PINNED)
+        state = NetworkState(inst)
         x = np.ones((3, 2), dtype=bool)
         with pytest.raises(InvalidParameterError):
             apply_placement(state, Placement(x, np.array([1.0, 0.0, 0.0])))
+        assert state.placement is None
+
+    def test_record_is_the_only_residency(self):
+        inst = path_instance(3, 2, c_sum=3.0)
+        state = installed(inst, np.zeros((3, 2), dtype=bool), [1.0] * 3)
+        assert not any(hasattr(state, a) for a in ("caches", "holders", "next_hop"))
+        lce = NetworkState(inst, [1.0] * 3, Policy.LFU)
+        assert lce.placement is None
+        assert (len(lce.caches), len(lce.holders), lce.next_hop.shape) == (3, 2, (3, 3))
 
 
 class TestRunEpoch:
@@ -247,8 +268,7 @@ class TestRunEpoch:
         inst = path_instance(4, 3, alpha=0.9, penalty=2, c_sum=float(x.sum()))
         budgets = x.sum(axis=1).astype(float)
         placement = Placement(x, budgets)
-        state = NetworkState(inst, budgets, Policy.PINNED)
-        apply_placement(state, placement)
+        state = installed(inst, x, budgets)
         cfg = SimConfig(Scheme.OPTIMIZED, nodes=4, objects=3, deterministic=True,
                         epochs=2, warmup_epochs=0, cache_fraction=0.34)
         metrics = run_epoch(cfg, state, np.random.default_rng(0))
@@ -258,8 +278,7 @@ class TestRunEpoch:
 
     def test_full_replication_zero_hops(self):
         inst = path_instance(3, 2, c_sum=6.0)
-        state = NetworkState(inst, [2.0] * 3, Policy.PINNED)
-        apply_placement(state, Placement(np.ones((3, 2), dtype=bool), np.full(3, 2.0)))
+        state = installed(inst, np.ones((3, 2), dtype=bool), np.full(3, 2.0))
         cfg = SimConfig(Scheme.OPTIMIZED, nodes=3, objects=2, requests_per_epoch=500,
                         epochs=2, warmup_epochs=0, cache_fraction=1.0)
         metrics = run_epoch(cfg, state, np.random.default_rng(1))
@@ -288,6 +307,44 @@ class TestRunEpoch:
         assert np.array_equal(logs[0].request_count, logs[1].request_count)
         assert np.array_equal(logs[0].hit_count, logs[1].hit_count)
         assert np.array_equal(logs[0].hops_accumulated, logs[1].hops_accumulated)
+
+    def test_deterministic_epoch_matches_per_pair_reference(self):
+        """The vectorised deterministic epoch equals a per-pair sum over nearest copies."""
+        rng = np.random.default_rng(31)
+        for trial in range(120):
+            inst = random_instance(rng, n_max=8, m_max=6, unit_sizes=trial % 3 != 0)
+            topo = replace(inst.topology, origin_penalty=0) if trial % 2 else inst.topology
+            x = rng.random((inst.n, inst.m)) < rng.uniform(0.0, 0.7)
+            sizes = inst.catalog.sizes
+            budgets = x @ sizes
+            inst = Instance(topo, inst.catalog, inst.demand, float(budgets.sum()))
+            state = installed(inst, x, budgets)
+            metrics = deterministic_epoch(state)
+            dist = nearest_copy(x, inst)
+            q = inst.demand.rates
+            total_w = hop_w = req_w = hit_w = 0.0
+            for i in range(inst.n):
+                for k in range(inst.m):
+                    total_w += q[i, k] * sizes[k]
+                    hop_w += q[i, k] * sizes[k] * dist[i, k]
+                    req_w += q[i, k]
+                    hit_w += q[i, k] if x[i, k] else 0.0
+            assert metrics.avg_hops == pytest.approx(hop_w / total_w, rel=1e-12)
+            assert metrics.hit_ratio == pytest.approx(hit_w / req_w, rel=1e-12)
+            assert metrics.requests == inst.n * inst.m
+            tele = state.telemetry
+            assert np.array_equal(tele.request_count, np.ones((inst.n, inst.m)))
+            assert np.array_equal(tele.hit_count, x)
+            assert np.array_equal(tele.hops_accumulated, dist)
+
+    @pytest.mark.parametrize("scheme", [Scheme.LCE_LRU, Scheme.LCE_LFU])
+    def test_deterministic_lce_rejected_by_config(self, scheme):
+        with pytest.raises(InvalidParameterError):
+            SimConfig(scheme, deterministic=True)
+
+    def test_negative_seed_rejected_by_config(self):
+        with pytest.raises(InvalidParameterError):
+            SimConfig(Scheme.NO_CACHE, seed=-1)
 
     def test_zero_requests_rejected_by_config(self):
         with pytest.raises(InvalidParameterError):
@@ -341,14 +398,3 @@ class TestRunSimulation:
                         epochs=2, warmup_epochs=0, seed=3, cache_fraction=0.2)
         report = run_simulation(cfg)
         assert report.total_requests == 400
-
-    def test_telemetry_csv(self, tmp_path):
-        cfg = SimConfig(Scheme.NO_CACHE, nodes=4, objects=5, requests_per_epoch=100,
-                        epochs=2, warmup_epochs=0, seed=1, cache_fraction=0.2)
-        report = run_simulation(cfg)
-        path = tmp_path / "telemetry.csv"
-        telemetry_to_csv(report.telemetry, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "node,object,request_count,hit_count,hops_accumulated"
-        total = sum(int(line.split(",")[2]) for line in lines[1:])
-        assert total == 200

@@ -10,6 +10,7 @@ the fetched object at every router on the reply path.
 
 from __future__ import annotations
 
+import heapq
 import math
 import numbers
 from collections import OrderedDict
@@ -137,7 +138,11 @@ class SimConfig:
 
 
 class Cache:
-    """Single-router LCE cache; sizes are in the catalog's size units."""
+    """Single-router LCE cache; sizes are in the catalog's size units.
+
+    LFU evicts the lowest count, ties to the lowest object id, from a heap of
+    (count, object) entries; entries for evicted objects or old counts are skipped.
+    """
 
     def __init__(self, capacity: float, policy: Policy):
         self.capacity = float(capacity)
@@ -145,6 +150,7 @@ class Cache:
         # key -> size for LRU (OrderedDict gives recency order),
         # key -> [freq, size] for LFU
         self._items: OrderedDict = OrderedDict()
+        self._heap: list = []
         self.used = 0.0
 
     def __contains__(self, obj: int) -> bool:
@@ -158,7 +164,9 @@ class Cache:
         if self.policy is Policy.LRU:
             self._items.move_to_end(obj)
         else:
-            self._items[obj][0] += 1
+            entry = self._items[obj]
+            entry[0] += 1
+            self._push(entry[0], obj)
 
     def insert(self, obj: int, size: float) -> list:
         """Insert ``obj``, evicting per policy; returns the evicted objects.
@@ -173,15 +181,31 @@ class Cache:
             entry = self._items.pop(victim)
             self.used -= entry if self.policy is Policy.LRU else entry[1]
             evicted.append(victim)
-        self._items[obj] = size if self.policy is Policy.LRU else [1, size]
+        if self.policy is Policy.LRU:
+            self._items[obj] = size
+        else:
+            self._items[obj] = [1, size]
+            self._push(1, obj)
         self.used += size
         return evicted
+
+    def _push(self, count: int, obj: int) -> None:
+        """Add ``obj``'s current LFU key, already set in ``_items``, to the heap."""
+        # a cache that only gets hits only pushes, so stale entries need a bound
+        if len(self._heap) >= 2 * len(self._items) + 8:
+            self._heap = [(entry[0], o) for o, entry in self._items.items()]
+            heapq.heapify(self._heap)
+        else:
+            heapq.heappush(self._heap, (count, obj))
 
     def _select_victim(self) -> int:
         if self.policy is Policy.LRU:
             return next(iter(self._items))
-        # LFU: lowest frequency, ties toward the lowest object id
-        return min(self._items, key=lambda o: (self._items[o][0], o))
+        while True:
+            count, obj = heapq.heappop(self._heap)
+            entry = self._items.get(obj)
+            if entry is not None and entry[0] == count:
+                return obj
 
 
 @dataclass(eq=False)
@@ -224,8 +248,9 @@ class NetworkState:
         self.caches = [Cache(capacities[i], policy) for i in range(n)]
         self.holders = [set() for _ in range(m)]
         self.next_hop = bfs_next_hop(instance.topology.hop_matrix, instance.topology.edges)
-        # python-native copies for the per-request fast path
-        self._hop = instance.topology.hop_matrix.tolist()
+        # python-native copies for the per-request fast path; _key[i][j] =
+        # hop(i, j) * n + j orders routers by distance, then by index
+        self._key = (instance.topology.hop_matrix * n + np.arange(n)).tolist()
         self._dorg = [int(d) for d in instance.topology.origin_distances]
         self._sizes = instance.catalog.sizes.tolist()
 
@@ -241,15 +266,13 @@ def apply_placement(state: NetworkState, placement: Placement) -> None:
 
 def _nearest_supplier(state: NetworkState, node: int, obj: int):
     """(supplier, hops) for a fetch; ties prefer routers, then low indexes."""
-    hop_row = state._hop[node]
-    best_j = ORIGIN
-    best_d = state._dorg[node]
-    for j in sorted(state.holders[obj]):
-        d = hop_row[j]
-        if d < best_d or (d == best_d and best_j == ORIGIN):
-            best_d = d
-            best_j = j
-    return best_j, best_d
+    d_origin = state._dorg[node]
+    holders = state.holders[obj]
+    if holders:
+        d, j = divmod(min(map(state._key[node].__getitem__, holders)), state.instance.n)
+        if d <= d_origin:
+            return j, d
+    return ORIGIN, d_origin
 
 
 def handle_request(state: NetworkState, node: int, obj: int) -> int:

@@ -9,6 +9,8 @@ from cachenet.netmodel import (
     InvalidParameterError,
     Topology,
     all_pairs_hops,
+    build_demand,
+    generate_power_law_topology,
     zipf_popularity,
 )
 from cachenet.optimizer import (
@@ -73,6 +75,30 @@ class ReferenceLRU:
         return False
 
 
+class ReferenceLFU:
+    """Linear-scan LFU used as an oracle: lowest count, ties to the lowest id."""
+
+    def __init__(self, capacity):
+        self.capacity = float(capacity)
+        self.items = {}  # key -> [freq, size], in insertion order
+        self.used = 0.0
+
+    def touch(self, obj):
+        self.items[obj][0] += 1
+
+    def insert(self, obj, size):
+        if obj in self.items or size > self.capacity:
+            return []
+        evicted = []
+        while self.used + size > self.capacity:
+            victim = min(self.items, key=lambda o: (self.items[o][0], o))
+            self.used -= self.items.pop(victim)[1]
+            evicted.append(victim)
+        self.items[obj] = [1, size]
+        self.used += size
+        return evicted
+
+
 class TestCache:
     def test_lru_matches_reference(self):
         rng = np.random.default_rng(0)
@@ -104,6 +130,37 @@ class TestCache:
         cache.insert(2, 1.0)
         evicted = cache.insert(9, 1.0)
         assert evicted == [2]
+
+    def test_lfu_matches_linear_scan_reference(self):
+        rng = np.random.default_rng(11)
+        for trial in range(2000):
+            capacity = int(rng.integers(1, 21))
+            universe = int(rng.integers(2, 3 * capacity + 3))
+            sizes = np.ones(universe) if trial % 2 else rng.integers(1, 3, size=universe).astype(float)
+            if trial % 4 < 2:  # Zipf-like: a few objects take most requests
+                p = 1.0 / np.arange(1, universe + 1) ** rng.uniform(0.6, 1.4)
+                stream = rng.choice(universe, size=150, p=p / p.sum())
+            else:
+                stream = rng.integers(0, universe, size=150)
+            cache, ref = Cache(capacity, Policy.LFU), ReferenceLFU(capacity)
+            for obj in stream.tolist():
+                if obj in cache:
+                    assert obj in ref.items
+                    cache.touch(obj)
+                    ref.touch(obj)
+                else:
+                    assert cache.insert(obj, sizes[obj]) == ref.insert(obj, sizes[obj])
+                assert cache.residents() == list(ref.items)
+                assert cache.used == ref.used
+
+    def test_lfu_heap_stays_bounded_under_hits(self):
+        rng = np.random.default_rng(12)
+        cache = Cache(10, Policy.LFU)
+        for obj in range(10):
+            cache.insert(obj, 1.0)
+        for obj in rng.integers(0, 10, size=10_000).tolist():
+            cache.touch(obj)
+            assert len(cache._heap) <= 2 * len(cache.residents()) + 8
 
     def test_capacity_never_exceeded_under_fuzz(self):
         rng = np.random.default_rng(1)
@@ -217,6 +274,25 @@ class TestNearestSupplier:
                     router_ties += near > 1
                     origin_ties += near > 0 and topo.origin_distances[i] == dist[i, k]
         assert router_ties > 100 and origin_ties > 100  # both tie-breaks were exercised
+
+    def test_matches_kernel_at_desk_scale(self):
+        """64 routers, so keys hop * n + j span several multiples of n."""
+        rng = np.random.default_rng(64)
+        catalog = Catalog.uniform_sizes(40, 0.8)
+        base = generate_power_law_topology(64, 2, 7)
+        for penalty in (0, 3):
+            topo = replace(base, origin_penalty=penalty)
+            for density in (0.01, 0.05, 0.2):
+                x = rng.random((64, 40)) < density
+                budgets = x.sum(axis=1).astype(float)
+                inst = Instance(topo, catalog, build_demand(topo, catalog, 1.0), float(budgets.sum()))
+                state = NetworkState(inst, budgets, Policy.LRU)
+                for i, k in zip(*np.nonzero(x)):
+                    state.holders[k].add(int(i))
+                dist, supplier = nearest_copy(x, inst, supplier=True)
+                for i in range(inst.n):
+                    for k in range(inst.m):
+                        assert _nearest_supplier(state, i, k) == (supplier[i, k], dist[i, k])
 
 
 class TestApplyPlacement:

@@ -302,9 +302,8 @@ def greedy_solve(instance: Instance) -> SolveResult:
         pool -= float(sizes[k])
         np.minimum(curdist[:, k], hop[:, j], out=curdist[:, k])
         rescore = [k]
-    placement = Placement(x, _budgets_from_usage(x, sizes, instance.c_sum))
-    return SolveResult(placement, placement_cost(placement, instance),
-                       {"method": "greedy", "iterations": int(x.sum())})
+    out = Placement(x, _budgets_from_usage(x, sizes, instance.c_sum))
+    return SolveResult(out, _traffic(curdist, instance), {"method": "greedy", "iterations": int(x.sum())})
 
 
 # the initial pricing takes the catalog a chunk of objects at a time, so that
@@ -315,9 +314,9 @@ _CHUNK = 1 << 15
 
 def _runner_up(x: np.ndarray, hop: np.ndarray, dorg: np.ndarray):
     """near[r, k] = router of r's nearest copy of object k in ``x`` (the
-    lowest index on ties, -1 without copies), and after[r, k] = r's distance
-    to k once that copy is gone: to the next copy or the origin, whichever
-    is nearer."""
+    lowest index on ties, -1 without copies), after[r, k] = r's distance
+    to k once that copy is gone, and dist[r, k] = r's distance to k now;
+    each distance is to a copy or the origin, whichever is nearer."""
     n, b = x.shape
     obj, router = np.nonzero(x.T)  # copies by object, then router
     slot = np.arange(obj.size) - np.searchsorted(obj, np.arange(b))[obj]
@@ -327,8 +326,9 @@ def _runner_up(x: np.ndarray, hop: np.ndarray, dorg: np.ndarray):
     d[table < 0] = np.inf
     first = d.argmin(axis=1)  # lowest slot, so lowest router, on ties
     k_ix, r_ix = np.arange(b)[:, None], np.arange(n)[None, :]
+    dist = np.minimum(d[k_ix, first, r_ix].T, dorg[:, None])
     d[k_ix, first, r_ix] = np.inf
-    return table[k_ix, first].T, np.minimum(d.min(axis=1).T, dorg[:, None])
+    return table[k_ix, first].T, np.minimum(d.min(axis=1).T, dorg[:, None]), dist
 
 
 def _drop_prices(qs, curdist, after, hop, r_ix, k_ix, starts):
@@ -363,10 +363,9 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
     sizes = instance.catalog.sizes
     qs = instance.demand.rates * sizes[None, :]
     x = placement.x.copy()
-    curdist = nearest_copy(x, instance)
     slack = float(instance.c_sum - (x @ sizes).sum())
-    # gains[j, k] = objective decrease from adding a copy of k at router j
-    gains = np.stack([_gain_column(qs[:, k], curdist[:, k], hop) for k in range(m)], axis=1)
+    curdist = np.empty((n, m))  # curdist[r, k] = r's distance to the nearest copy of k
+    gains = np.empty((n, m))  # gains[j, k] = objective decrease from adding a copy of k at router j
     near = np.empty((n, m), dtype=int)
     after = np.empty((n, m))
     loss = np.zeros((n, m))  # loss[i, k] = objective increase from dropping the copy at i
@@ -374,7 +373,9 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
     colmax = np.zeros(m)  # best gain of adding k where it is absent
 
     def reprice(objs):
-        near[:, objs], after[:, objs] = _runner_up(x[:, objs], hop, dorg)
+        near[:, objs], after[:, objs], curdist[:, objs] = _runner_up(x[:, objs], hop, dorg)
+        for c in objs:
+            gains[:, c] = _gain_column(qs[:, c], curdist[:, c], hop)
         absent = ~x[:, objs]
         colmax[objs] = np.where(absent, gains[:, objs], -np.inf).max(axis=0)
         loss[:, objs] = 0.0
@@ -419,11 +420,7 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
         x[i, k] = False
         x[j, k2] = True
         slack = slack + float(sizes[k]) - float(sizes[k2])
-        curdist[:, [k, k2]] = nearest_copy(x[:, [k, k2]], instance)
-        touched = np.array(sorted({k, k2}))  # not np.unique, which imports numpy.ma (about 1 MB)
-        for c in touched:
-            gains[:, c] = _gain_column(qs[:, c], curdist[:, c], hop)
-        reprice(touched)
+        reprice(np.array(sorted({k, k2})))  # not np.unique, which imports numpy.ma (about 1 MB)
         applied += 1
     out = Placement(x, _budgets_from_usage(x, sizes, instance.c_sum))
     return SolveResult(out, _traffic(curdist, instance), {"method": "local_search", "iterations": applied})

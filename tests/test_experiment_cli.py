@@ -26,13 +26,12 @@ from cachenet.simnet import Scheme
 
 # parameters that SimConfig rejects, and that used to pass validation and
 # then raise mid-sweep or report impossible hops
-UNRUNNABLE = [("nodes", 2), ("alpha", -1), ("smoothing", -1), ("per_node_rate", 0),
-              ("origin_penalty", -3)]
+UNRUNNABLE = [("nodes", 2), ("alpha", -1), ("smoothing", -1), ("origin_penalty", -3)]
 # values of the wrong type, or numbers no run can use, that used to crash
 # validate with a traceback or pass it and then crash the run
 MISTYPED = [("nodes", "abc", "nodes_str"), ("values", ["0.1"], "values_str"),
             ("nodes", 5.5, "nodes_float"), ("seeds", [0.5], "seeds_float"),
-            ("alpha", float("nan"), "alpha_nan"), ("per_node_rate", 5e-324, "per_node_rate_subnormal")]
+            ("alpha", float("nan"), "alpha_nan")]
 BAD_SPECS = ([pytest.param("seeds", [2, 2], id="seeds"),
               pytest.param("seeds", [0, -1], id="seeds_negative")]
              + [pytest.param(f, v, id=f) for f, v in UNRUNNABLE]
@@ -160,7 +159,6 @@ _SIZED = {
     "m_attach": st.integers(0, 3),
     "alpha": st.floats(-0.1, 2.0),
     "origin_penalty": st.integers(-1, 4),
-    "per_node_rate": st.floats(0.0, 5.0),
     "requests_per_epoch": st.integers(0, 300),
     "epochs": st.integers(1, 2),
     "warmup_epochs": st.integers(0, 2),
@@ -239,6 +237,13 @@ class TestCli:
         path.write_text(json.dumps(tiny_spec_dict(**{field: value})))
         assert main(["validate", str(path)]) == 1
         assert field in capsys.readouterr().out
+
+    def test_validate_rejects_per_node_rate(self, tmp_path, capsys):
+        """per_node_rate only scaled a demand that no output reads, so it is not a spec key."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(tiny_spec_dict(per_node_rate=1.0)))
+        assert main(["validate", str(path)]) == 1
+        assert "unknown field: per_node_rate" in capsys.readouterr().out
 
     def test_validate_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1

@@ -22,6 +22,7 @@ from cachenet.optimizer import (
 )
 from cachenet.simnet import (
     Cache,
+    EpochMetrics,
     NetworkState,
     Policy,
     Scheme,
@@ -370,6 +371,45 @@ class TestRunEpoch:
         tele = state.telemetry
         assert tele.total_requests == 777
         assert np.all(tele.hit_count <= tele.request_count)
+
+    @pytest.mark.parametrize("scheme", [Scheme.LCE_LRU, Scheme.LCE_LFU])
+    def test_lce_telemetry_matches_per_request_replay(self, scheme):
+        """Per-pair LCE telemetry and metrics equal a replay of the same draws
+        through handle_request, a hit being residency before serving."""
+        policy = Policy.LRU if scheme is Scheme.LCE_LRU else Policy.LFU
+        rng = np.random.default_rng(41)
+        zero_hop_misses = 0
+        for trial in range(40):
+            inst = random_instance(rng, n_max=8, m_max=6, unit_sizes=trial % 2 == 0)
+            if trial % 3 == 0:  # a miss at the origin attachment then costs 0 hops
+                inst = Instance(replace(inst.topology, origin_penalty=0), inst.catalog, inst.demand, inst.c_sum)
+            n, m = inst.n, inst.m
+            capacities = rng.integers(0, 3, size=n).astype(float)
+            cfg = SimConfig(scheme, nodes=n, objects=m, m_attach=1, requests_per_epoch=150,
+                            epochs=2, warmup_epochs=0, cache_fraction=1.0)
+            state, twin = NetworkState(inst, capacities, policy), NetworkState(inst, capacities, policy)
+            counts, hits, hops = ([[0] * m for _ in range(n)] for _ in range(3))
+            for epoch in range(2):  # telemetry accumulates across epochs
+                metrics = run_epoch(cfg, state, np.random.default_rng(trial * 2 + epoch))
+                draw = np.random.default_rng(trial * 2 + epoch)
+                requesters = draw.integers(0, n, size=150)
+                objects = draw.choice(m, size=150, p=inst.catalog.popularity)
+                epoch_hops = epoch_hits = 0
+                for i, k in zip(requesters.tolist(), objects.tolist()):
+                    hit = k in twin.caches[i]
+                    h = handle_request(twin, i, k)
+                    counts[i][k] += 1
+                    hits[i][k] += hit
+                    hops[i][k] += h
+                    epoch_hops += h
+                    epoch_hits += hit
+                    zero_hop_misses += h == 0 and not hit
+                assert metrics == EpochMetrics(epoch_hops / 150, epoch_hits / 150, 150), (trial, epoch)
+                tele = state.telemetry
+                assert tele.request_count.tolist() == counts, (trial, epoch)
+                assert tele.hit_count.tolist() == hits, (trial, epoch)
+                assert tele.hops_accumulated.tolist() == hops, (trial, epoch)
+        assert zero_hop_misses > 0
 
     def test_fixed_seed_reproduces_telemetry(self):
         inst = path_instance(4, 3, c_sum=4.0)

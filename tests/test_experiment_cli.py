@@ -32,10 +32,14 @@ UNRUNNABLE = [("nodes", 2), ("alpha", -1), ("smoothing", -1), ("origin_penalty",
 MISTYPED = [("nodes", "abc", "nodes_str"), ("values", ["0.1"], "values_str"),
             ("nodes", 5.5, "nodes_float"), ("seeds", [0.5], "seeds_float"),
             ("alpha", float("nan"), "alpha_nan")]
+# values of a key SimConfig no longer has: validate rejects any of them as an
+# unknown field, whatever the value
+RETIRED = [("per_node_rate", 0, "per_node_rate"),
+           ("per_node_rate", 5e-324, "per_node_rate_subnormal")]
 BAD_SPECS = ([pytest.param("seeds", [2, 2], id="seeds"),
               pytest.param("seeds", [0, -1], id="seeds_negative")]
              + [pytest.param(f, v, id=f) for f, v in UNRUNNABLE]
-             + [pytest.param(f, v, id=i) for f, v, i in MISTYPED])
+             + [pytest.param(f, v, id=i) for f, v, i in MISTYPED + RETIRED])
 
 
 def tiny_spec_dict(**overrides):

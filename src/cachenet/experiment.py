@@ -4,8 +4,8 @@ and emit per-run and summary CSVs.
 A sweep spec is a flat JSON object; ``sweep`` names the swept field
 (``cache_fraction`` or ``alpha``), ``values`` its grid, and the remaining
 keys fill in the fixed simulation parameters: any ``SimConfig`` field other
-than ``scheme``, ``seed`` and ``deterministic``, defaulting as in
-``SimConfig``.
+than ``scheme`` and ``seed``, defaulting as in ``SimConfig``. The recipes
+below take the same keys and are validated like a file.
 """
 
 from __future__ import annotations
@@ -47,39 +47,20 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentSpec:
-    sweep_variable: str
-    sweep_values: list
-    schemes: list
-    seeds: list
-    output_path: str = "results"
+    sweep: str
+    values: list = field(default_factory=list)
+    schemes: list = field(default_factory=lambda: list(Scheme))
+    seeds: list = field(default_factory=lambda: [0])
+    output: str = "results"
     fixed: dict = field(default_factory=dict)  # SimConfig fields held constant
 
     def config(self, value: float, scheme: Scheme, seed: int) -> SimConfig:
         """The simulation of one sweep cell."""
-        return SimConfig(scheme=scheme, seed=seed, **{**self.fixed, self.sweep_variable: value})
+        return SimConfig(scheme=scheme, seed=seed, **{**self.fixed, self.sweep: value})
 
 
-_SPEC_KEYS = {
-    "sweep": "sweep_variable",
-    "values": "sweep_values",
-    "schemes": "schemes",
-    "seeds": "seeds",
-    "output": "output_path",
-}
-_AXES = frozenset(_SPEC_KEYS.values())
-FIXED_FIELDS = tuple(f.name for f in fields(SimConfig) if f.name not in ("scheme", "seed", "deterministic"))
-
-
-def _unknown(params: dict) -> list:
-    return [k for k in params if k not in _AXES and k not in FIXED_FIELDS]
-
-
-def _make_spec(params: dict) -> ExperimentSpec:
-    """Spec from a flat dict of axis names and fixed SimConfig fields."""
-    if _unknown(params):
-        raise TypeError(f"unknown sweep spec fields: {_unknown(params)}")
-    return ExperimentSpec(**{k: v for k, v in params.items() if k in _AXES},
-                          fixed={k: v for k, v in params.items() if k not in _AXES})
+AXES = tuple(f.name for f in fields(ExperimentSpec) if f.name != "fixed")
+FIXED_FIELDS = tuple(f.name for f in fields(SimConfig) if f.name not in ("scheme", "seed"))
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -94,19 +75,18 @@ def load_spec(path) -> ExperimentSpec:
 
 
 def spec_from_dict(raw: dict) -> ExperimentSpec:
+    """Validated spec from a flat dict of the JSON keys: the axes in ``AXES``
+    and the fixed ``SimConfig`` fields in ``FIXED_FIELDS``."""
     if not isinstance(raw, dict):
         raise ConfigError([f"spec must be a JSON object, got {type(raw).__name__}"])
-    params = {_SPEC_KEYS.get(key, key): value for key, value in raw.items()}
-    diagnostics = [f"unknown field: {k}" for k in _unknown(params)]
-    if "sweep_variable" not in params:
+    diagnostics = [f"unknown field: {k}" for k in raw if k not in AXES and k not in FIXED_FIELDS]
+    if "sweep" not in raw:
         diagnostics.append("missing field: sweep")
     if diagnostics:
         raise ConfigError(diagnostics)
-    params.setdefault("sweep_values", [])
-    params.setdefault("schemes", [s.value for s in Scheme])
-    params.setdefault("seeds", [0])
-    params["sweep_variable"] = str(params["sweep_variable"]).lower()
-    spec = _make_spec(params)
+    axes = {k: v for k, v in raw.items() if k in AXES}
+    axes["sweep"] = str(axes["sweep"]).lower()
+    spec = ExperimentSpec(**axes, fixed={k: v for k, v in raw.items() if k in FIXED_FIELDS})
     diagnostics = validate_spec(spec)
     if diagnostics:
         raise ConfigError(diagnostics)
@@ -117,13 +97,13 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
 def validate_spec(spec: ExperimentSpec) -> list:
     """Full invariant check without running; returns diagnostics, empty if ok."""
     diags = []
-    if spec.sweep_variable not in SWEEPABLE:
-        diags.append(f"sweep: must be one of {SWEEPABLE}, got {spec.sweep_variable!r}")
-    if not isinstance(spec.sweep_values, list) or not all(is_number(v, numbers.Real) for v in spec.sweep_values):
-        diags.append(f"values: must be a list of numbers, got {spec.sweep_values!r}")
-    elif not spec.sweep_values:
+    if spec.sweep not in SWEEPABLE:
+        diags.append(f"sweep: must be one of {SWEEPABLE}, got {spec.sweep!r}")
+    if not isinstance(spec.values, list) or not all(is_number(v, numbers.Real) for v in spec.values):
+        diags.append(f"values: must be a list of numbers, got {spec.values!r}")
+    elif not spec.values:
         diags.append("values: must be nonempty")
-    elif any(b <= a for a, b in zip(spec.sweep_values, spec.sweep_values[1:])):
+    elif any(b <= a for a, b in zip(spec.values, spec.values[1:])):
         diags.append("values: must be strictly increasing")
     if not isinstance(spec.seeds, list) or not all(is_number(s, numbers.Integral) for s in spec.seeds):
         diags.append(f"seeds: must be a list of integers, got {spec.seeds!r}")
@@ -136,22 +116,25 @@ def validate_spec(spec: ExperimentSpec) -> list:
     if not isinstance(spec.schemes, list) or not spec.schemes:
         diags.append(f"schemes: must be a nonempty list, got {spec.schemes!r}")
     else:
+        known = []
         for s in spec.schemes:
             try:
-                Scheme(s)
+                known.append(Scheme(s))
             except ValueError:
                 diags.append(f"schemes: unknown scheme {s!r}")
-    if not isinstance(spec.output_path, str):
-        diags.append(f"output: must be a path, got {spec.output_path!r}")
+        if len(set(known)) != len(known):
+            diags.append("schemes: must be distinct")
+    if not isinstance(spec.output, str):
+        diags.append(f"output: must be a path, got {spec.output!r}")
     if diags:
         return diags
     # dry-build one config per (value, scheme) to surface SimConfig invariants
-    for value in spec.sweep_values:
+    for value in spec.values:
         for scheme in map(Scheme, spec.schemes):
             try:
                 spec.config(value, scheme, spec.seeds[0])
             except ValueError as exc:
-                diags.append(f"{spec.sweep_variable}={value}, scheme={scheme.value}: {exc}")
+                diags.append(f"{spec.sweep}={value}, scheme={scheme.value}: {exc}")
     return diags
 
 
@@ -192,10 +175,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1, seed_override=None,
     of execution order, so reruns are byte-identical.
     """
     seeds = [seed_override] if seed_override is not None else list(spec.seeds)
-    out_dir = output_dir if output_dir is not None else spec.output_path
+    out_dir = output_dir if output_dir is not None else spec.output
     os.makedirs(out_dir, exist_ok=True)
     cells = [(value, spec.config(value, s, seed))
-             for value in spec.sweep_values
+             for value in spec.values
              for s in spec.schemes
              for seed in seeds]
     if jobs > 1:
@@ -212,41 +195,38 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1, seed_override=None,
 
 
 def cache_size_sweep_spec(**overrides) -> ExperimentSpec:
-    """Cache-size sweep: average response hops vs cache fraction 1%..10%."""
-    params = dict(
-        sweep_variable="cache_fraction",
-        sweep_values=[round(0.01 * i, 2) for i in range(1, 11)],
-        schemes=list(Scheme),
-        seeds=list(range(10)),
-        alpha=0.8, nodes=64, objects=200,
-    )
-    params.update(overrides)
-    return _make_spec(params)
+    """Cache-size sweep of every scheme: average response hops vs cache
+    fraction 1%..10%. Overrides take the spec keys and win over these."""
+    return spec_from_dict({
+        "sweep": "cache_fraction",
+        "values": [round(0.01 * i, 2) for i in range(1, 11)],
+        "seeds": list(range(10)),
+        "alpha": 0.8, "nodes": 64, "objects": 200,
+        **overrides,
+    })
 
 
 def alpha_sweep_spec(**overrides) -> ExperimentSpec:
     """Popularity sweep at 5% cache: the popularity-aware schemes only,
     since the static schemes' hops are flat in the skew."""
-    params = dict(
-        sweep_variable="alpha",
-        sweep_values=[0.4, 0.6, 0.8, 1.0, 1.2],
-        schemes=[Scheme.OPTIMIZED, Scheme.LCE_LRU, Scheme.LCE_LFU],
-        seeds=list(range(10)),
-        cache_fraction=0.05, nodes=64, objects=200,
-    )
-    params.update(overrides)
-    return _make_spec(params)
+    return spec_from_dict({
+        "sweep": "alpha",
+        "values": [0.4, 0.6, 0.8, 1.0, 1.2],
+        "schemes": ["OPTIMIZED", "LCE_LRU", "LCE_LFU"],
+        "seeds": list(range(10)),
+        "cache_fraction": 0.05, "nodes": 64, "objects": 200,
+        **overrides,
+    })
 
 
 def demo_spec(**overrides) -> ExperimentSpec:
     """Tiny cache-size sweep that finishes in well under a minute."""
-    params = dict(
-        sweep_variable="cache_fraction",
-        sweep_values=[0.05, 0.10],
-        schemes=[Scheme.OPTIMIZED, Scheme.LCE_LRU, Scheme.NO_CACHE],
-        seeds=[0, 1],
-        nodes=16, objects=40, requests_per_epoch=1000, epochs=4, warmup_epochs=1,
-        output_path="demo_results",
-    )
-    params.update(overrides)
-    return _make_spec(params)
+    return spec_from_dict({
+        "sweep": "cache_fraction",
+        "values": [0.05, 0.10],
+        "schemes": ["OPTIMIZED", "LCE_LRU", "NO_CACHE"],
+        "seeds": [0, 1],
+        "nodes": 16, "objects": 40, "requests_per_epoch": 1000, "epochs": 4, "warmup_epochs": 1,
+        "output": "demo_results",
+        **overrides,
+    })

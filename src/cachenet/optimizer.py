@@ -159,10 +159,12 @@ def evaluate_objective(assignment: Assignment, instance: Instance) -> float:
     sup = assignment.supplier
     rows = np.arange(instance.n)[:, None]
     dist = np.where(sup == ORIGIN, dorg[:, None], hop[rows, np.where(sup == ORIGIN, 0, sup)])
-    return float((instance.demand.rates * dist * instance.catalog.sizes[None, :]).sum())
+    return _traffic(dist, instance)
 
 
 def placement_cost(placement: Placement, instance: Instance) -> float:
+    """Total hop-weighted traffic of ``placement`` served from nearest copies.
+    No solver calls it; the tests keep it as their reference cost."""
     return _traffic(nearest_copy(placement.x, instance), instance)
 
 
@@ -394,8 +396,9 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
         regains[x[:, cols].T] = -np.inf
         regain[rows, cols] = regains.max(axis=1)
 
-    for objs in np.array_split(np.arange(m), -(-m * n * n // _CHUNK)):
-        reprice(objs)
+    step = max(1, _CHUNK // (n * n))
+    for start in range(0, m, step):
+        reprice(np.arange(start, min(start + step, m)))
     applied = 0
     while applied < max_iters:
         room = slack + sizes  # capacity once a copy of k is dropped

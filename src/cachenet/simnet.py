@@ -47,6 +47,7 @@ __all__ = [
     "MetricsReport",
     "handle_request",
     "apply_placement",
+    "deterministic_epoch",
     "run_epoch",
     "run_simulation",
 ]
@@ -83,7 +84,6 @@ class SimConfig:
     epochs: int = 12
     warmup_epochs: int = 2
     seed: int = 0
-    deterministic: bool = False
     smoothing: float = 1.0
 
     def __post_init__(self):
@@ -119,8 +119,6 @@ class SimConfig:
             raise InvalidParameterError("cache_fraction * objects must be >= 1 unless NO_CACHE")
         if self.seed < 0:
             raise InvalidParameterError("seed must be nonnegative")
-        if self.deterministic and self.scheme in (Scheme.LCE_LRU, Scheme.LCE_LFU):
-            raise InvalidParameterError("deterministic applies to installed placements, not LCE")
 
     @property
     def slots_per_node(self) -> int:
@@ -314,23 +312,25 @@ def _record(state: NetworkState, requesters, objects, hops, hits) -> EpochMetric
     return EpochMetrics(float(hops.sum()) / total, float(hits.sum()) / total, total)
 
 
-def run_epoch(config: SimConfig, state: NetworkState, rng: np.random.Generator) -> EpochMetrics:
-    """Process one epoch of requests and return its metrics.
-
-    Stochastic mode draws requesters uniformly and objects from the catalog
-    popularity. Deterministic mode, for an installed placement, requests
-    every (node, object) pair once and weights the metrics by demand, so
-    the measured average hops equals the optimizer objective exactly.
-    """
+def deterministic_epoch(state: NetworkState) -> EpochMetrics:
+    """Request every (node, object) pair once from the installed placement and
+    return the metrics weighted by demand, so the measured average hops
+    equals the optimizer objective exactly."""
+    if state.placement is None:
+        raise InvalidParameterError("a deterministic epoch serves an installed placement, not LCE")
     inst = state.instance
-    if config.deterministic:
-        x, dist = state.placement.x, state.placement_dist
-        _record(state, *np.indices(x.shape).reshape(2, -1), dist.ravel(), x.ravel())
-        q = inst.demand.rates
-        w_hops = q * inst.catalog.sizes[None, :]
-        return EpochMetrics(float((w_hops * dist).sum() / w_hops.sum()),
-                            float(q[x].sum() / q.sum()), inst.n * inst.m)
+    x, dist = state.placement.x, state.placement_dist
+    _record(state, *np.indices(x.shape).reshape(2, -1), dist.ravel(), x.ravel())
+    q = inst.demand.rates
+    w_hops = q * inst.catalog.sizes[None, :]
+    return EpochMetrics(float((w_hops * dist).sum() / w_hops.sum()),
+                        float(q[x].sum() / q.sum()), inst.n * inst.m)
 
+
+def run_epoch(config: SimConfig, state: NetworkState, rng: np.random.Generator) -> EpochMetrics:
+    """Process one epoch of requests and return its metrics: requesters are
+    drawn uniformly and objects from the catalog popularity."""
+    inst = state.instance
     requesters = rng.integers(0, inst.n, size=config.requests_per_epoch)
     objects = rng.choice(inst.m, size=config.requests_per_epoch, p=inst.catalog.popularity)
     if state.placement is not None:  # an installed placement is read-only: vectorise

@@ -33,6 +33,7 @@ from cachenet.simnet import (
     SimConfig,
     apply_placement,
     build_instance,
+    deterministic_epoch,
     run_epoch,
 )
 from util import nearest_assignment, random_instance
@@ -124,10 +125,7 @@ def test_criterion_3_simulator_objective_identity():
         placement = Placement(x, budgets)
         state = NetworkState(inst)
         apply_placement(state, placement)
-        cfg = SimConfig(Scheme.OPTIMIZED, nodes=inst.n, objects=inst.m, m_attach=1,
-                        deterministic=True, epochs=2, warmup_epochs=0,
-                        cache_fraction=1.0)
-        measured = run_epoch(cfg, state, rng).avg_hops
+        measured = deterministic_epoch(state).avg_hops
         expected = average_hops(
             evaluate_objective(nearest_assignment(placement, inst), inst), inst)
         worst = max(worst, abs(measured - expected))
@@ -136,7 +134,7 @@ def test_criterion_3_simulator_objective_identity():
 
 def test_criterion_4_cache_size_trend(cache_size_summary):
     summary, elapsed, spec = cache_size_summary
-    fractions = spec.sweep_values
+    fractions = spec.values
     schemes = [s.value for s in spec.schemes]
     opt = [summary[(f, "OPTIMIZED")] for f in fractions]
     # (a) non-increasing within one pooled standard deviation per step
@@ -158,7 +156,7 @@ def test_criterion_4_cache_size_trend(cache_size_summary):
 
 def test_criterion_5_popularity_trend(alpha_summary):
     summary, spec = alpha_summary
-    alphas = spec.sweep_values
+    alphas = spec.values
     schemes = [s.value for s in spec.schemes]
     # (a) every popularity-aware scheme improves as skew grows
     mono = all(summary[(a2, s)][0] <= summary[(a1, s)][0]

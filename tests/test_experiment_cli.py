@@ -37,7 +37,8 @@ MISTYPED = [("nodes", "abc", "nodes_str"), ("values", ["0.1"], "values_str"),
 RETIRED = [("per_node_rate", 0, "per_node_rate"),
            ("per_node_rate", 5e-324, "per_node_rate_subnormal")]
 BAD_SPECS = ([pytest.param("seeds", [2, 2], id="seeds"),
-              pytest.param("seeds", [0, -1], id="seeds_negative")]
+              pytest.param("seeds", [0, -1], id="seeds_negative"),
+              pytest.param("schemes", ["NO_CACHE", "NO_CACHE"], id="schemes_dup")]
              + [pytest.param(f, v, id=f) for f, v in UNRUNNABLE]
              + [pytest.param(f, v, id=i) for f, v, i in MISTYPED + RETIRED])
 
@@ -211,9 +212,9 @@ class TestAcceptedSpecsRun:
 class TestRecipes:
     def test_cache_size_recipe_shape(self):
         spec = cache_size_sweep_spec()
-        assert spec.sweep_variable == "cache_fraction"
-        assert spec.sweep_values == [0.01, 0.02, 0.03, 0.04, 0.05,
-                                     0.06, 0.07, 0.08, 0.09, 0.1]
+        assert spec.sweep == "cache_fraction"
+        assert spec.values == [0.01, 0.02, 0.03, 0.04, 0.05,
+                               0.06, 0.07, 0.08, 0.09, 0.1]
         assert spec.fixed["alpha"] == 0.8
         assert spec.fixed["nodes"] == 64
         assert spec.fixed["objects"] == 200
@@ -221,11 +222,24 @@ class TestRecipes:
 
     def test_alpha_recipe_shape(self):
         spec = alpha_sweep_spec()
-        assert spec.sweep_variable == "alpha"
-        assert spec.sweep_values == [0.4, 0.6, 0.8, 1.0, 1.2]
+        assert spec.sweep == "alpha"
+        assert spec.values == [0.4, 0.6, 0.8, 1.0, 1.2]
         assert spec.fixed["cache_fraction"] == 0.05
         assert Scheme.OPTIMIZED in spec.schemes
         assert validate_spec(spec) == []
+
+    @pytest.mark.parametrize("recipe,overrides", [
+        (cache_size_sweep_spec, {"seeds": [-1]}),
+        (alpha_sweep_spec, {"nodes": 1}),
+        (demo_spec, {"bogus": 1}),
+    ], ids=["seeds_negative", "nodes", "unknown_key"])
+    def test_recipes_validated_like_files(self, recipe, overrides):
+        with pytest.raises(ConfigError):
+            recipe(**overrides)
+
+    def test_recipe_overrides_win(self):
+        spec = demo_spec(seeds=[3], output="elsewhere")
+        assert (spec.seeds, spec.output) == ([3], "elsewhere")
 
 
 class TestCli:

@@ -2,11 +2,15 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cachenet"
+from cachenet.experiment import AXES, FIXED_FIELDS
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cachenet"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")  # __init__ only re-exports
 
 
@@ -59,3 +63,10 @@ def test_detector_finds_assert():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_assert_statements(path):
     assert assert_lines(path.read_text()) == []
+
+
+def test_readme_lists_the_accepted_spec_keys():
+    """README's sentence naming the accepted sweep-spec keys matches the code."""
+    sentence = re.search(r"Besides (.*?)\.\s+Each\s+is\s+optional", (ROOT / "README.md").read_text(), re.S)
+    named = set(re.findall(r"`(\w+)`", sentence.group(1))) - {"SimConfig", "scheme", "seed"}
+    assert named == set(AXES) | set(FIXED_FIELDS)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from cachenet import optimizer
 from cachenet.netmodel import (
     Catalog,
     DemandMatrix,
@@ -441,6 +442,25 @@ class TestLocalSearch:
         refined = local_search(inst, gr.placement, 0)
         assert np.array_equal(refined.placement.x, gr.placement.x)
         assert refined.cost == pytest.approx(gr.cost)
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 40], ids=["one_object", "whole_catalog"])
+    def test_pricing_chunk_leaves_result(self, monkeypatch, chunk):
+        """The initial pricing's chunk only bounds memory: one object per
+        chunk or the whole catalog in one gives the default's search."""
+        n, m = 200, 60
+        catalog = Catalog.uniform_sizes(m, 0.8)
+        rng = np.random.default_rng(4)
+        counts = np.zeros((n, m))
+        np.add.at(counts, (rng.integers(0, n, 20000), rng.choice(m, 20000, p=catalog.popularity)), 1.0)
+        inst = Instance(generate_power_law_topology(n, 2, seed=3), catalog, DemandMatrix(counts + 1.0),
+                        float(round(0.10 * m) * n))
+        start = greedy_solve(inst).placement
+        default = local_search(inst, start, 10 * n * m)
+        monkeypatch.setattr(optimizer, "_CHUNK", chunk)
+        patched = local_search(inst, start, 10 * n * m)
+        assert placement_digest(patched.placement) == placement_digest(default.placement)
+        assert patched.cost == default.cost
+        assert patched.diagnostics["iterations"] == default.diagnostics["iterations"] > 0
 
     def test_never_worse_than_input(self):
         rng = np.random.default_rng(16)

@@ -29,6 +29,7 @@ from cachenet.simnet import (
     SimConfig,
     _nearest_supplier,
     apply_placement,
+    deterministic_epoch,
     handle_request,
     run_epoch,
     run_simulation,
@@ -49,13 +50,6 @@ def installed(inst, x, budgets):
     state = NetworkState(inst)
     apply_placement(state, Placement(x, np.asarray(budgets, dtype=float)))
     return state
-
-
-def deterministic_epoch(state):
-    """One deterministic epoch: every (node, object) pair requested once."""
-    cfg = SimConfig(Scheme.OPTIMIZED, nodes=state.instance.n, objects=state.instance.m, m_attach=1,
-                    deterministic=True, epochs=2, warmup_epochs=0, cache_fraction=1.0)
-    return run_epoch(cfg, state, np.random.default_rng(0))
 
 
 class ReferenceLRU:
@@ -346,9 +340,7 @@ class TestRunEpoch:
         budgets = x.sum(axis=1).astype(float)
         placement = Placement(x, budgets)
         state = installed(inst, x, budgets)
-        cfg = SimConfig(Scheme.OPTIMIZED, nodes=4, objects=3, deterministic=True,
-                        epochs=2, warmup_epochs=0, cache_fraction=0.34)
-        metrics = run_epoch(cfg, state, np.random.default_rng(0))
+        metrics = deterministic_epoch(state)
         expected = average_hops(
             evaluate_objective(nearest_assignment(placement, inst), inst), inst)
         assert metrics.avg_hops == pytest.approx(expected, abs=1e-9)
@@ -453,10 +445,12 @@ class TestRunEpoch:
             assert np.array_equal(tele.hit_count, x)
             assert np.array_equal(tele.hops_accumulated, dist)
 
-    @pytest.mark.parametrize("scheme", [Scheme.LCE_LRU, Scheme.LCE_LFU])
-    def test_deterministic_lce_rejected_by_config(self, scheme):
+    @pytest.mark.parametrize("policy", [Policy.LRU, Policy.LFU])
+    def test_deterministic_lce_rejected(self, policy):
+        state = NetworkState(path_instance(3, 2), [1.0] * 3, policy)
         with pytest.raises(InvalidParameterError):
-            SimConfig(scheme, deterministic=True)
+            deterministic_epoch(state)
+        assert state.telemetry.total_requests == 0
 
     def test_negative_seed_rejected_by_config(self):
         with pytest.raises(InvalidParameterError):

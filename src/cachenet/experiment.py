@@ -4,8 +4,8 @@ and emit per-run and summary CSVs.
 A sweep spec is a flat JSON object; ``sweep`` names the swept field
 (``cache_fraction`` or ``alpha``), ``values`` its grid, and the remaining
 keys fill in the fixed simulation parameters: any ``SimConfig`` field other
-than ``scheme`` and ``seed``, defaulting as in ``SimConfig``. The recipes
-below take the same keys and are validated like a file.
+than ``scheme``, ``seed`` and the swept one, defaulting as in ``SimConfig``.
+The recipes below take the same keys and are validated like a file.
 """
 
 from __future__ import annotations
@@ -99,6 +99,8 @@ def validate_spec(spec: ExperimentSpec) -> list:
     diags = []
     if spec.sweep not in SWEEPABLE:
         diags.append(f"sweep: must be one of {SWEEPABLE}, got {spec.sweep!r}")
+    elif spec.sweep in spec.fixed:
+        diags.append(f"{spec.sweep}: is the swept field; list its grid in values")
     if not isinstance(spec.values, list) or not all(is_number(v, numbers.Real) for v in spec.values):
         diags.append(f"values: must be a list of numbers, got {spec.values!r}")
     elif not spec.values:

@@ -12,6 +12,7 @@ marginal-gain insertion, and a first-improvement swap local search.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 from dataclasses import dataclass, field
 
@@ -274,36 +275,47 @@ def _gain_column(q: np.ndarray, d: np.ndarray, hop: np.ndarray) -> np.ndarray:
     return q @ saved
 
 
+def _greedy_entry(gain: np.ndarray, size: float, k: int) -> tuple:
+    """Heap key of object k's best copy: the best gain per size unit first,
+    then the higher gain, the lower router, the lower object."""
+    j = int(gain.argmax())  # argmax keeps the lowest router
+    g = float(gain[j])
+    return -g / size, -g, j, k
+
+
 def greedy_solve(instance: Instance) -> SolveResult:
     """Greedy: repeatedly add the copy with the best gain per size unit, ties
-    to the higher gain, then the lower router, then the lower object. A copy
-    changes only its object's distances, so a pick rescores only that object."""
+    to the higher gain, then the lower router, then the lower object.
+
+    A heap holds each object's best copy. A copy changes only its object's
+    distances, so a pick rescores only that object's entry and every other
+    entry stays exact; the pool only shrinks, so an entry that no longer
+    fits is dropped for good."""
     n, m = instance.n, instance.m
     hop = instance.topology.hop_matrix.astype(float)
+    dorg = instance.topology.origin_distances.astype(float)
     sizes = instance.catalog.sizes
+    size = sizes.tolist()
     qs = instance.demand.rates * sizes[None, :]
     x = np.zeros((n, m), dtype=bool)
-    curdist = nearest_copy(x, instance)
+    curdist = np.repeat(dorg[:, None], m, axis=1)
+    saved = np.maximum(dorg[:, None] - hop, 0.0)  # every object's first gain is qs[:, k] @ saved
+    heap = [_greedy_entry(qs[:, k] @ saved, size[k], k) for k in range(m)]
+    heapq.heapify(heap)
     pool = float(instance.c_sum)
-    best_router, best_gain = np.zeros(m, dtype=int), np.zeros(m)
-    rescore = range(m)
-    while True:
-        for k in rescore:
-            gain = _gain_column(qs[:, k], curdist[:, k], hop)
-            gain[x[:, k]] = -np.inf
-            best_router[k] = np.argmax(gain)  # argmax keeps the lowest router
-            best_gain[k] = gain[best_router[k]]
-        rate = np.where(sizes <= pool + 1e-9, best_gain / sizes, -np.inf)
-        tied = np.flatnonzero(rate == rate.max())
-        tied = tied[best_gain[tied] == best_gain[tied].max()]
-        k = int(tied[np.argmin(best_router[tied])])  # argmin keeps the lowest object
-        if rate[k] == -np.inf or best_gain[k] <= _EPS:  # -inf: no copy that fits is left
+    while heap:
+        _, neg_gain, j, k = heap[0]
+        if size[k] > pool + 1e-9:
+            heapq.heappop(heap)
+            continue
+        if -neg_gain <= _EPS:
             break
-        j = int(best_router[k])
         x[j, k] = True
-        pool -= float(sizes[k])
+        pool -= size[k]
         np.minimum(curdist[:, k], hop[:, j], out=curdist[:, k])
-        rescore = [k]
+        gain = _gain_column(qs[:, k], curdist[:, k], hop)
+        gain[x[:, k]] = -np.inf
+        heapq.heapreplace(heap, _greedy_entry(gain, size[k], k))
     out = Placement(x, _budgets_from_usage(x, sizes, instance.c_sum))
     return SolveResult(out, _traffic(curdist, instance), {"method": "greedy", "iterations": int(x.sum())})
 
@@ -399,12 +411,18 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
     step = max(1, _CHUNK // (n * n))
     for start in range(0, m, step):
         reprice(np.arange(start, min(start + step, m)))
+    size_values = sorted(set(sizes.tolist()))  # not np.unique, which imports numpy.ma (about 1 MB)
+    of_size = [np.flatnonzero(sizes == s) for s in size_values]
     applied = 0
     while applied < max_iters:
         room = slack + sizes  # capacity once a copy of k is dropped
-        fits = sizes[None, :] <= room[:, None] + 1e-9  # fits[k, k2]: k2 fits where k was
-        np.fill_diagonal(fits, False)
-        other = np.where(fits, colmax, -np.inf).max(axis=1)
+        # other[k] = best insertion gain of an object that fits where k was:
+        # the top colmax of each size that fits. k itself may be that top,
+        # since then same >= colmax[k] (dropping a copy only raises gains)
+        top = [colmax[objs].max() for objs in of_size]
+        other = np.empty(m)
+        for s, objs in zip(size_values, of_size):
+            other[objs] = max((t for t, s2 in zip(top, size_values) if s2 <= slack + s + 1e-9), default=-np.inf)
         rows, cols = np.nonzero(x)
         same = np.where(sizes[cols] <= room[cols] + 1e-9, regain[rows, cols], -np.inf)
         best = np.maximum(other[cols], same)

@@ -14,6 +14,7 @@ from cachenet.netmodel import (
 )
 from cachenet.optimizer import (
     _EPS,
+    _gain_column,
     ORIGIN,
     Instance,
     InstanceTooLargeError,
@@ -264,6 +265,42 @@ def naive_greedy(instance):
         pool -= sizes[k]
 
 
+def rescan_greedy(instance):
+    """Reference greedy that re-selects over every object on each pick: the
+    best gain per size unit among the objects that fit, then the higher
+    gain, the lower router, the lower object. Returns (placement, cost)."""
+    n, m = instance.n, instance.m
+    hop = instance.topology.hop_matrix.astype(float)
+    sizes = instance.catalog.sizes
+    qs = instance.demand.rates * sizes[None, :]
+    x = np.zeros((n, m), dtype=bool)
+    curdist = nearest_copy(x, instance)
+    pool = float(instance.c_sum)
+    best_router, best_gain = np.zeros(m, dtype=int), np.zeros(m)
+    rescore = range(m)
+    while True:
+        for k in rescore:
+            gain = _gain_column(qs[:, k], curdist[:, k], hop)
+            gain[x[:, k]] = -np.inf
+            best_router[k] = np.argmax(gain)
+            best_gain[k] = gain[best_router[k]]
+        rate = np.where(sizes <= pool + 1e-9, best_gain / sizes, -np.inf)
+        tied = np.flatnonzero(rate == rate.max())
+        tied = tied[best_gain[tied] == best_gain[tied].max()]
+        k = int(tied[np.argmin(best_router[tied])])
+        if rate[k] == -np.inf or best_gain[k] <= _EPS:
+            break
+        j = int(best_router[k])
+        x[j, k] = True
+        pool -= float(sizes[k])
+        np.minimum(curdist[:, k], hop[:, j], out=curdist[:, k])
+        rescore = [k]
+    budgets = (x @ sizes).astype(float)
+    budgets[0] += instance.c_sum - budgets.sum()
+    out = Placement(x, budgets)
+    return out, placement_cost(out, instance)
+
+
 def integer_rates(inst):
     """The instance with whole-number rates, so every gain is exact and ties are common."""
     return Instance(inst.topology, inst.catalog, DemandMatrix(np.floor(inst.demand.rates)), inst.c_sum)
@@ -275,6 +312,21 @@ class TestGreedy:
         for trial in range(300):
             inst = integer_rates(random_instance(rng, n_max=6, m_max=6, c_max=6, unit_sizes=trial % 2 == 0))
             assert np.array_equal(greedy_solve(inst).placement.x, naive_greedy(inst)), trial
+
+    @pytest.mark.parametrize("max_size", [1, 3], ids=["unit_sizes", "sizes_1_2_3"])
+    @pytest.mark.parametrize("smoothing", [0.3, 1.0])
+    @pytest.mark.parametrize("n,m,topo_seed", [(24, 80, 1), (64, 200, 5)], ids=["24x80", "64x200"])
+    def test_matches_rescan_at_desk_scale(self, n, m, topo_seed, smoothing, max_size):
+        """The heap greedy makes the full re-selection's picks on
+        telemetry-shaped instances. With sizes 1..3, several of them run
+        the pool below a larger object's size while that object still has
+        the best rate, and smaller objects are picked after it."""
+        for fraction in (0.02, 0.05, 0.10):
+            inst = telemetry_instance(n, m, topo_seed, fraction, smoothing, max_size)
+            result = greedy_solve(inst)
+            reference, cost = rescan_greedy(inst)
+            assert placement_digest(result.placement) == placement_digest(reference), fraction
+            assert result.cost == cost, fraction
 
     def test_equal_gains_go_to_lowest_router(self):
         # path 0-1-2, origin behind node 1 at penalty 3, demand only at the
@@ -377,16 +429,24 @@ def random_placement(rng, instance):
     return Placement(x, np.zeros(instance.n))
 
 
-def desk_instance():
-    """64 routers x 200 objects at cache fraction 0.10, demand estimated as in
-    the control loop: 30,000 sampled request counts plus smoothing 1."""
-    n, m = 64, 200
-    topo = generate_power_law_topology(n, 2, seed=5)
+def telemetry_instance(n, m, topo_seed, fraction=0.10, smoothing=1.0, max_size=1, seed=2):
+    """n routers x m objects with demand estimated as in the control loop:
+    30,000 sampled request counts plus ``smoothing``. Object sizes are drawn
+    from 1..max_size (all 1 by default)."""
+    topo = generate_power_law_topology(n, 2, seed=topo_seed)
     catalog = Catalog.uniform_sizes(m, 0.8)
-    rng = np.random.default_rng(2)
+    if max_size > 1:
+        sizes = np.random.default_rng(seed + 1).integers(1, max_size + 1, size=m).astype(float)
+        catalog = Catalog(m, sizes, 0.8, catalog.popularity)
+    rng = np.random.default_rng(seed)
     counts = np.zeros((n, m))
     np.add.at(counts, (rng.integers(0, n, 30000), rng.choice(m, 30000, p=catalog.popularity)), 1.0)
-    return Instance(topo, catalog, DemandMatrix(counts + 1.0), float(round(0.10 * m) * n))
+    return Instance(topo, catalog, DemandMatrix(counts + smoothing), float(round(fraction * m) * n))
+
+
+def desk_instance():
+    """64 routers x 200 objects at cache fraction 0.10, smoothing 1."""
+    return telemetry_instance(64, 200, topo_seed=5)
 
 
 DESK_DIGEST = "ffb11f5f2e5976643d9d94a9f34c695fa4e27c1b3db6eaca19378631569b243b"
@@ -397,13 +457,15 @@ DESK_SWAPS = 26
 class TestLocalSearch:
     def test_matches_naive_reference(self):
         rng = np.random.default_rng(23)
-        for trial in range(360):
-            inst = random_instance(rng, n_max=5, m_max=5, c_max=6, unit_sizes=trial % 2 == 0)
+        for trial in range(400):
+            three = trial >= 360  # sizes 1..3: a freed copy can fit more than one other size
+            inst = random_instance(rng, n_max=5, m_max=5, c_max=6, unit_sizes=trial % 2 == 0 and not three,
+                                   max_size=3 if three else 2)
             if trial % 3 == 0:  # a free origin ties routers at the origin's attachment point
                 topo = inst.topology
                 inst = Instance(Topology(topo.node_count, topo.edges, topo.hop_matrix, topo.origin_attach, 0),
                                 inst.catalog, inst.demand, inst.c_sum)
-            if trial < 300:
+            if trial < 300 or three and trial % 2:
                 inst = integer_rates(inst)
             start = random_placement(rng, inst) if trial % 4 else greedy_solve(inst).placement
             for cap in (1, 2, 10 * inst.n * inst.m):

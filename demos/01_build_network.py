@@ -24,7 +24,7 @@ print(f"top-5 popularity: {np.round(catalog.popularity[:5], 4)}")
 print(f"head/next ratio p1/p2 = {catalog.popularity[0] / catalog.popularity[1]:.4f} "
       f"(= 2^0.8)")
 
-demand = build_demand(topology, catalog, per_node_rate=1.0)
+demand = build_demand(topology, catalog)
 print(f"\ndemand matrix: {demand.rates.shape}, total rate {demand.rates.sum():.1f}/epoch")
 
 save_topology(topology, "topology.txt")

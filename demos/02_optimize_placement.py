@@ -23,7 +23,7 @@ from cachenet import (
 # tiny instance: the exhaustive solver is the ground truth
 topo = generate_power_law_topology(4, 1, seed=3)
 catalog = Catalog.uniform_sizes(5, alpha=1.0)
-demand = build_demand(topo, catalog, per_node_rate=1.0)
+demand = build_demand(topo, catalog)
 tiny = Instance(topo, catalog, demand, c_sum=4.0)
 
 exact = exact_solve(tiny)
@@ -36,7 +36,7 @@ print(f"  feasible: {check_feasibility(pipeline.placement, tiny).ok}")
 # full-scale instance
 topo = generate_power_law_topology(64, 2, seed=7)
 catalog = Catalog.uniform_sizes(200, alpha=0.8)
-demand = build_demand(topo, catalog, per_node_rate=1.0)
+demand = build_demand(topo, catalog)
 
 print("\nfull scale (64 routers, 200 objects):")
 print("  cache %   budget   avg hops   copies   seconds")

@@ -11,7 +11,6 @@ from .netmodel import (
 )
 from .optimizer import (
     ORIGIN,
-    Assignment,
     Instance,
     Placement,
     SolveResult,
@@ -30,6 +29,6 @@ from .simnet import (
     SimConfig,
     run_simulation,
 )
-from .analytics import ControllerDecision, DemandEstimate, controller_epoch, estimate_demand
+from .analytics import ControllerDecision, controller_epoch, estimate_demand
 
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ from .optimizer import (
 )
 
 __all__ = [
-    "DemandEstimate",
     "ControllerDecision",
     "EmptyTelemetryError",
     "estimate_demand",
@@ -34,21 +33,13 @@ class EmptyTelemetryError(ValueError):
 
 
 @dataclass(eq=False)
-class DemandEstimate:
-    rates_hat: np.ndarray
-    sample_count: int
-    smoothing: float
-
-
-@dataclass(eq=False)
 class ControllerDecision:
     placement: Placement
-    epoch_index: int
     estimated_cost: float
     solver_diagnostics: dict = field(default_factory=dict)
 
 
-def estimate_demand(telemetry_log, smoothing: float) -> DemandEstimate:
+def estimate_demand(telemetry_log, smoothing: float) -> np.ndarray:
     """Additive-smoothed per (node, object) request counts.
 
     rates_hat[i, k] = request_count[i, k] + smoothing, so the estimate sums
@@ -56,23 +47,19 @@ def estimate_demand(telemetry_log, smoothing: float) -> DemandEstimate:
     """
     if smoothing < 0:
         raise ValueError("smoothing must be nonnegative")
-    counts = np.asarray(telemetry_log.request_count, dtype=float)
-    total = int(counts.sum())
-    if total == 0 and smoothing == 0:
+    if smoothing == 0 and telemetry_log.total_requests == 0:
         raise EmptyTelemetryError("empty telemetry with zero smoothing")
-    return DemandEstimate(counts + smoothing, total, smoothing)
+    return np.asarray(telemetry_log.request_count, dtype=float) + smoothing
 
 
 def controller_epoch(telemetry_log, topology: Topology, catalog: Catalog,
-                     c_sum: float, epoch_index: int, smoothing: float = 1.0) -> ControllerDecision:
+                     c_sum: float, smoothing: float) -> ControllerDecision:
     """One control-loop turn: estimate demand, solve, emit a directive."""
-    estimate = estimate_demand(telemetry_log, smoothing)
-    instance = Instance(topology, catalog, DemandMatrix(estimate.rates_hat), c_sum)
+    instance = Instance(topology, catalog, DemandMatrix(estimate_demand(telemetry_log, smoothing)), c_sum)
     result = solve(instance)
     report = check_feasibility(result.placement, instance)
     if not report.ok:
         raise RuntimeError("solver returned an infeasible placement: "
                            + "; ".join(v.detail for v in report.violations))
-    return ControllerDecision(result.placement, epoch_index, result.cost,
-                              {**result.diagnostics, "sample_count": estimate.sample_count})
-
+    return ControllerDecision(result.placement, result.cost,
+                              {**result.diagnostics, "sample_count": telemetry_log.total_requests})

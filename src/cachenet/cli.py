@@ -31,8 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a sweep spec")
     run_p.add_argument("spec", help="path to a JSON sweep spec")
-    run_p.add_argument("--seed-override", type=_at_least(0), default=None,
-                       help="run every cell with this single seed")
     run_p.add_argument("--jobs", type=_at_least(1), default=1, help="parallel worker processes")
     run_p.add_argument("--output", default=None, help="output directory (overrides spec)")
 
@@ -41,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     demo_p = sub.add_parser("demo", help="run a tiny built-in sweep")
     demo_p.add_argument("--output", default=None, help="output directory")
-    demo_p.set_defaults(jobs=1, seed_override=None)
+    demo_p.set_defaults(jobs=1)
     return parser
 
 
@@ -63,8 +61,7 @@ def main(argv=None) -> int:
             print("ok")
             return 0
     try:
-        per_run, summary = run_experiment(spec, jobs=args.jobs, seed_override=args.seed_override,
-                                          output_dir=args.output)
+        per_run, summary = run_experiment(spec, jobs=args.jobs, output_dir=args.output)
     except OSError as exc:
         print(f"error: {exc}")
         return 1

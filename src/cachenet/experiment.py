@@ -67,10 +67,12 @@ def load_spec(path) -> ExperimentSpec:
     """Parse and validate a JSON sweep spec; raises ConfigError with
     field-level diagnostics on any problem."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"]) from exc
     return spec_from_dict(raw)
 
 
@@ -169,22 +171,21 @@ def _write_csv(path, header, rows) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def run_experiment(spec: ExperimentSpec, jobs: int = 1, seed_override=None,
-                   output_dir=None) -> tuple:
+def run_experiment(spec: ExperimentSpec, jobs: int = 1, output_dir=None) -> tuple:
     """Run the full grid; returns (per_run_csv_path, summary_csv_path).
 
     Output ordering is canonical (sweep value, scheme name, seed) regardless
     of execution order, so reruns are byte-identical.
     """
-    seeds = [seed_override] if seed_override is not None else list(spec.seeds)
     out_dir = output_dir if output_dir is not None else spec.output
     os.makedirs(out_dir, exist_ok=True)
     cells = [(value, spec.config(value, s, seed))
              for value in spec.values
              for s in spec.schemes
-             for seed in seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+             for seed in spec.seeds]
+    workers = min(jobs, len(cells))  # a worker past one per cell would be forked only to sit idle
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, cells))
     else:
         rows = [_run_cell(cell) for cell in cells]

@@ -94,9 +94,9 @@ class Catalog:
             raise InvalidParameterError("popularity must be non-increasing")
 
     @classmethod
-    def uniform_sizes(cls, object_count: int, alpha: float, size: float = 1.0) -> "Catalog":
+    def uniform_sizes(cls, object_count: int, alpha: float) -> "Catalog":
         pop = zipf_popularity(object_count, alpha)
-        return cls(object_count, np.full(object_count, float(size)), alpha, pop)
+        return cls(object_count, np.ones(object_count), alpha, pop)
 
 
 @dataclass(eq=False)
@@ -228,13 +228,10 @@ def zipf_popularity(m: int, alpha: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def build_demand(topology: Topology, catalog: Catalog, per_node_rate: float) -> DemandMatrix:
-    """Spatially uniform demand: every router requests at the same total
-    rate, split across objects by catalog popularity."""
-    if per_node_rate <= 0:
-        raise InvalidParameterError("per_node_rate must be positive")
-    rates = np.tile(catalog.popularity * per_node_rate, (topology.node_count, 1))
-    return DemandMatrix(rates)
+def build_demand(topology: Topology, catalog: Catalog) -> DemandMatrix:
+    """Spatially uniform demand: every router requests at unit total rate,
+    split across objects by catalog popularity."""
+    return DemandMatrix(np.tile(catalog.popularity, (topology.node_count, 1)))
 
 
 # --- plain-text / CSV interchange -----------------------------------------

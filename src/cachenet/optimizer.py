@@ -23,7 +23,6 @@ from .netmodel import Catalog, DemandMatrix, Topology
 __all__ = [
     "ORIGIN",
     "Placement",
-    "Assignment",
     "Instance",
     "SolveResult",
     "FeasibilityReport",
@@ -68,13 +67,6 @@ class Placement:
         budgets = np.zeros(n)
         budgets[0] = c_sum
         return cls(np.zeros((n, m), dtype=bool), budgets)
-
-
-@dataclass(eq=False)
-class Assignment:
-    """supplier[i, k] = router chosen to serve object k to router i, or ORIGIN."""
-
-    supplier: np.ndarray
 
 
 @dataclass(eq=False)
@@ -153,13 +145,14 @@ def nearest_copy(x: np.ndarray, instance: Instance, supplier: bool = False):
     return (dist, sup) if supplier else dist
 
 
-def evaluate_objective(assignment: Assignment, instance: Instance) -> float:
-    """Total hop-weighted traffic of an assignment."""
+def evaluate_objective(supplier: np.ndarray, instance: Instance) -> float:
+    """Total hop-weighted traffic when supplier[i, k], a router or ORIGIN,
+    serves object k to router i."""
     hop = instance.topology.hop_matrix
     dorg = instance.topology.origin_distances
-    sup = assignment.supplier
     rows = np.arange(instance.n)[:, None]
-    dist = np.where(sup == ORIGIN, dorg[:, None], hop[rows, np.where(sup == ORIGIN, 0, sup)])
+    origin = supplier == ORIGIN
+    dist = np.where(origin, dorg[:, None], hop[rows, np.where(origin, 0, supplier)])
     return _traffic(dist, instance)
 
 

@@ -49,6 +49,8 @@ __all__ = [
     "apply_placement",
     "deterministic_epoch",
     "run_epoch",
+    "seed_streams",
+    "build_instance",
     "run_simulation",
 ]
 
@@ -352,12 +354,18 @@ class MetricsReport:
     telemetry: TelemetryLog
 
 
-def build_instance(config: SimConfig, topo_seed: int) -> Instance:
-    topology = replace(generate_power_law_topology(config.nodes, config.m_attach, topo_seed),
-                       origin_penalty=config.origin_penalty)
+def seed_streams(config: SimConfig) -> tuple:
+    """A cell's (topology seed, request stream, random-placement stream), from ``config.seed``."""
+    topo_ss, req_ss, place_ss = np.random.SeedSequence(config.seed).spawn(3)
+    return int(topo_ss.generate_state(1)[0]), req_ss, place_ss
+
+
+def build_instance(config: SimConfig) -> Instance:
+    """The cell's true instance: its seeded topology, catalog and uniform demand."""
+    topology = generate_power_law_topology(config.nodes, config.m_attach, seed_streams(config)[0])
+    topology = replace(topology, origin_penalty=config.origin_penalty)
     catalog = Catalog.uniform_sizes(config.objects, config.alpha)
-    demand = build_demand(topology, catalog, 1.0)
-    return Instance(topology, catalog, demand, float(config.c_sum))
+    return Instance(topology, catalog, build_demand(topology, catalog), float(config.c_sum))
 
 
 def _initial_state(config: SimConfig, instance: Instance, place_rng: np.random.Generator) -> NetworkState:
@@ -384,9 +392,8 @@ def run_simulation(config: SimConfig) -> MetricsReport:
     controller re-estimates demand from the cumulative telemetry and
     installs a fresh placement for the next epoch.
     """
-    ss = np.random.SeedSequence(config.seed)
-    topo_ss, req_ss, place_ss = ss.spawn(3)
-    instance = build_instance(config, int(topo_ss.generate_state(1)[0]))
+    _, req_ss, place_ss = seed_streams(config)
+    instance = build_instance(config)
     req_rng = np.random.default_rng(req_ss)
     state = _initial_state(config, instance, np.random.default_rng(place_ss))
 
@@ -394,9 +401,8 @@ def run_simulation(config: SimConfig) -> MetricsReport:
     for epoch in range(config.epochs):
         epoch_metrics.append(run_epoch(config, state, req_rng))
         if config.scheme is Scheme.OPTIMIZED and epoch < config.epochs - 1:
-            decision = analytics.controller_epoch(
-                state.telemetry, instance.topology, instance.catalog,
-                float(config.c_sum), epoch, smoothing=config.smoothing)
+            decision = analytics.controller_epoch(state.telemetry, instance.topology, instance.catalog,
+                                                  float(config.c_sum), config.smoothing)
             apply_placement(state, decision.placement)
 
     measured = epoch_metrics[config.warmup_epochs:]

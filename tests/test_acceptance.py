@@ -15,7 +15,6 @@ from cachenet.experiment import alpha_sweep_spec, cache_size_sweep_spec, run_exp
 from cachenet.netmodel import Catalog, DemandMatrix, zipf_popularity
 from cachenet.optimizer import (
     ORIGIN,
-    Assignment,
     Instance,
     Placement,
     average_hops,
@@ -35,6 +34,7 @@ from cachenet.simnet import (
     build_instance,
     deterministic_epoch,
     run_epoch,
+    seed_streams,
 )
 from util import nearest_assignment, random_instance
 
@@ -108,7 +108,7 @@ def test_criterion_2_assignment_optimality():
                    for i in range(inst.n) for k in range(inst.m)]
         for combo in itertools.product(*choices):
             sup = np.array(combo, dtype=int).reshape(inst.n, inst.m)
-            assert best <= evaluate_objective(Assignment(sup), inst) + 1e-9
+            assert best <= evaluate_objective(sup, inst) + 1e-9
         checked += 1
     report(2, checked >= 30,
            f"nearest-copy beat every enumerated assignment on {checked} instances")
@@ -197,19 +197,17 @@ def test_criterion_6_constraint_suite():
 def test_criterion_7_closed_loop_convergence():
     cfg = SimConfig(Scheme.OPTIMIZED, nodes=4, objects=5, cache_fraction=0.2,
                     requests_per_epoch=100_000, epochs=4, warmup_epochs=1, seed=11)
-    ss = np.random.SeedSequence(cfg.seed)
-    topo_ss, req_ss, _ = ss.spawn(3)
-    inst = build_instance(cfg, int(topo_ss.generate_state(1)[0]))
+    inst = build_instance(cfg)
     optimum = exact_solve(inst).cost
     state = NetworkState(inst)
     apply_placement(state, Placement(np.zeros((inst.n, inst.m), dtype=bool), np.full(inst.n, 1.0)))
-    req_rng = np.random.default_rng(req_ss)
+    req_rng = np.random.default_rng(seed_streams(cfg)[1])
     decision_costs = []
     for epoch in range(cfg.epochs):
         run_epoch(cfg, state, req_rng)
         if epoch < cfg.epochs - 1:
             decision = controller_epoch(state.telemetry, inst.topology, inst.catalog,
-                                        float(cfg.c_sum), epoch, smoothing=cfg.smoothing)
+                                        float(cfg.c_sum), cfg.smoothing)
             apply_placement(state, decision.placement)
             decision_costs.append(placement_cost(decision.placement, inst))
     converged = all(abs(c - optimum) <= 1e-9 for c in decision_costs)

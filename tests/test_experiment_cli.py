@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cachenet import experiment
 from cachenet.cli import main
 from cachenet.experiment import (
     PER_RUN_HEADER,
@@ -148,14 +149,27 @@ class TestRunExperiment:
         p2, _ = run_experiment(spec, jobs=2, output_dir=tmp_path / "parallel")
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
-    def test_seed_override(self, tmp_path):
-        spec = spec_from_dict(tiny_spec_dict())
-        per_run, _ = run_experiment(spec, seed_override=99, output_dir=tmp_path / "out")
-        with open(per_run) as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            seeds = {row[2] for row in reader}
-        assert seeds == {"99"}
+    def test_workers_capped_at_cell_count(self, tmp_path, monkeypatch):
+        """Every worker is forked at the first submit, so there are no more than cells."""
+        workers = []
+
+        class InlineExecutor:  # records the pool size and maps in this process
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlineExecutor)
+        spec = spec_from_dict(tiny_spec_dict())  # 2 values x 2 schemes x 2 seeds
+        run_experiment(spec, jobs=500, output_dir=tmp_path / "out")
+        assert workers == [8]
 
 
 # bounded sizes; each range reaches just past its field's valid edge
@@ -291,13 +305,13 @@ class TestCli:
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_run_rejects_negative_seed_override(self, tmp_path, capsys):
+    def test_non_utf8_spec_invalid(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(tiny_spec_dict()))
-        with pytest.raises(SystemExit) as exc:
-            main(["run", str(path), "--seed-override", "-3", "--output", str(tmp_path / "out")])
-        assert exc.value.code == 2
-        assert "--seed-override" in capsys.readouterr().err
+        path.write_bytes(b"\xff\xfe" + json.dumps(tiny_spec_dict()).encode("utf-16-le"))
+        for argv in (["validate", str(path)], ["run", str(path), "--output", str(tmp_path / "out")]):
+            assert main(argv) == 1
+            out = capsys.readouterr().out
+            assert out.startswith("INVALID:") and "not UTF-8" in out
         assert not (tmp_path / "out").exists()
 
     def test_demo_unwritable_output(self, tmp_path, capsys):

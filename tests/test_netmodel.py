@@ -177,34 +177,28 @@ class TestDemand:
     def test_uniform_split(self):
         topo = generate_power_law_topology(2, 1, seed=0)
         cat = Catalog.uniform_sizes(2, 0.0)
-        dem = build_demand(topo, cat, 10.0)
-        assert np.allclose(dem.rates, 5.0)
+        dem = build_demand(topo, cat)
+        assert np.allclose(dem.rates, 0.5)
 
     def test_row_sums_equal_rate(self):
         topo = generate_power_law_topology(64, 2, seed=7)
         cat = Catalog.uniform_sizes(200, 0.8)
-        dem = build_demand(topo, cat, 1.0)
+        dem = build_demand(topo, cat)
         assert np.allclose(dem.rates.sum(axis=1), 1.0)
 
     def test_column_totals(self):
         topo = generate_power_law_topology(3, 1, seed=0)
         cat = Catalog.uniform_sizes(2, 1.0)
-        dem = build_demand(topo, cat, 6.0)
-        assert np.allclose(dem.rates.sum(axis=0), [12.0, 6.0])
+        dem = build_demand(topo, cat)
+        assert np.allclose(dem.rates.sum(axis=0), [2.0, 1.0])
 
     def test_proportionality(self):
         topo = generate_power_law_topology(5, 2, seed=1)
         cat = Catalog.uniform_sizes(6, 1.3)
-        dem = build_demand(topo, cat, 2.0)
+        dem = build_demand(topo, cat)
         p = cat.popularity
         for i in range(5):
             assert dem.rates[i, 0] / dem.rates[i, 3] == pytest.approx(p[0] / p[3])
-
-    def test_rejects_nonpositive_rate(self):
-        topo = generate_power_law_topology(2, 1, seed=0)
-        cat = Catalog.uniform_sizes(2, 0.5)
-        with pytest.raises(InvalidParameterError):
-            build_demand(topo, cat, 0.0)
 
 
 class TestInterchange:
@@ -219,7 +213,7 @@ class TestInterchange:
     def test_catalog_and_demand_csv(self, tmp_path):
         topo = generate_power_law_topology(3, 1, seed=0)
         cat = Catalog.uniform_sizes(4, 0.8)
-        dem = build_demand(topo, cat, 2.0)
+        dem = build_demand(topo, cat)
         cat_path = tmp_path / "catalog.csv"
         dem_path = tmp_path / "demand.csv"
         catalog_to_csv(cat, cat_path)

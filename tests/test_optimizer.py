@@ -75,7 +75,7 @@ class TestNearestCopyAssignment:
         inst = make_instance(topo, 2, 0.5, np.ones((3, 2)), 0.0)
         placement = Placement.empty(3, 2)
         assign = nearest_assignment(placement, inst)
-        assert np.all(assign.supplier == ORIGIN)
+        assert np.all(assign == ORIGIN)
 
     def test_self_copy_dominates(self):
         topo = path_topology(3)
@@ -84,7 +84,7 @@ class TestNearestCopyAssignment:
         x[1, 0] = True
         budgets = np.array([2.0, 1.0, 0.0])
         assign = nearest_assignment(Placement(x, budgets), inst)
-        assert assign.supplier[1, 0] == 1
+        assert assign[1, 0] == 1
 
     def test_remote_copy_beats_origin_penalty(self):
         # path 0-1-2, origin at node 0 with penalty 3, copy only at node 2
@@ -93,7 +93,7 @@ class TestNearestCopyAssignment:
         x = np.zeros((3, 1), dtype=bool)
         x[2, 0] = True
         assign = nearest_assignment(Placement(x, np.array([0.0, 0.0, 1.0])), inst)
-        assert assign.supplier[1, 0] == 2  # 1 hop beats 1 + 3
+        assert assign[1, 0] == 2  # 1 hop beats 1 + 3
 
     def test_router_preferred_over_origin_on_tie(self):
         topo = path_topology(3, origin_attach=0, penalty=0)
@@ -101,7 +101,7 @@ class TestNearestCopyAssignment:
         x = np.zeros((3, 1), dtype=bool)
         x[0, 0] = True  # router 0 ties the origin exactly
         assign = nearest_assignment(Placement(x, np.array([1.0, 0.0, 0.0])), inst)
-        assert np.all(assign.supplier[:, 0] == 0)
+        assert np.all(assign[:, 0] == 0)
 
     def test_optimal_among_all_feasible_assignments(self):
         # enumeration stays < 10^5 candidates at this size
@@ -111,8 +111,7 @@ class TestNearestCopyAssignment:
             result = exact_solve(inst)
             best = evaluate_objective(nearest_assignment(result.placement, inst), inst)
             for sup in enumerate_feasible_assignments(result.placement, inst):
-                from cachenet.optimizer import Assignment
-                assert best <= evaluate_objective(Assignment(sup), inst) + 1e-9
+                assert best <= evaluate_objective(sup, inst) + 1e-9
 
 
 class TestObjective:

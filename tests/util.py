@@ -3,7 +3,7 @@
 import numpy as np
 
 from cachenet.netmodel import Catalog, DemandMatrix, Topology, all_pairs_hops, zipf_popularity
-from cachenet.optimizer import Assignment, Instance, nearest_copy
+from cachenet.optimizer import Instance, nearest_copy
 
 
 def random_connected_edges(rng, n):
@@ -41,5 +41,5 @@ def random_instance(rng, n_max=4, m_max=5, c_max=4, unit_sizes=True, max_size=2)
 
 
 def nearest_assignment(placement, instance):
-    """The nearest-copy kernel's supplier matrix as an Assignment."""
-    return Assignment(nearest_copy(placement.x, instance, supplier=True)[1])
+    """The nearest-copy kernel's supplier matrix: supplier[i, k] serves object k to router i."""
+    return nearest_copy(placement.x, instance, supplier=True)[1]

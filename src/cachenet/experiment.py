@@ -179,10 +179,11 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1, output_dir=None) -> tupl
     """
     out_dir = output_dir if output_dir is not None else spec.output
     os.makedirs(out_dir, exist_ok=True)
+    # seed-major, so a seed's cells run back to back and share one topology build
     cells = [(value, spec.config(value, s, seed))
+             for seed in spec.seeds
              for value in spec.values
-             for s in spec.schemes
-             for seed in spec.seeds]
+             for s in spec.schemes]
     workers = min(jobs, len(cells))  # a worker past one per cell would be forked only to sit idle
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

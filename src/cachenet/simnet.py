@@ -10,6 +10,7 @@ the fetched object at every router on the reply path.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import numbers
@@ -360,10 +361,19 @@ def seed_streams(config: SimConfig) -> tuple:
     return int(topo_ss.generate_state(1)[0]), req_ss, place_ss
 
 
+@functools.lru_cache(maxsize=1)
+def _topology(nodes: int, m_attach: int, seed: int, origin_penalty: int):
+    """The seeded topology, kept for the next cell: consecutive cells of one
+    seed share one build. Its hop matrix is read-only, so no cell can change
+    what the next one gets."""
+    topology = replace(generate_power_law_topology(nodes, m_attach, seed), origin_penalty=origin_penalty)
+    topology.hop_matrix.setflags(write=False)
+    return topology
+
+
 def build_instance(config: SimConfig) -> Instance:
     """The cell's true instance: its seeded topology, catalog and uniform demand."""
-    topology = generate_power_law_topology(config.nodes, config.m_attach, seed_streams(config)[0])
-    topology = replace(topology, origin_penalty=config.origin_penalty)
+    topology = _topology(config.nodes, config.m_attach, seed_streams(config)[0], config.origin_penalty)
     catalog = Catalog.uniform_sizes(config.objects, config.alpha)
     return Instance(topology, catalog, build_demand(topology, catalog), float(config.c_sum))
 

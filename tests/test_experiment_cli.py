@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cachenet import experiment
+from cachenet import experiment, simnet
 from cachenet.cli import main
 from cachenet.experiment import (
     PER_RUN_HEADER,
@@ -144,10 +144,28 @@ class TestRunExperiment:
         assert open(s1, "rb").read() == open(s2, "rb").read()
 
     def test_parallel_matches_serial(self, tmp_path):
-        spec = spec_from_dict(tiny_spec_dict())
-        p1, _ = run_experiment(spec, output_dir=tmp_path / "serial")
-        p2, _ = run_experiment(spec, jobs=2, output_dir=tmp_path / "parallel")
+        """Workers keep their own topology memo and share fewer builds; the CSVs do not change."""
+        spec = spec_from_dict(tiny_spec_dict(seeds=[0, 1, 2]))
+        p1, s1 = run_experiment(spec, output_dir=tmp_path / "serial")
+        p2, s2 = run_experiment(spec, jobs=2, output_dir=tmp_path / "parallel")
         assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert open(s1, "rb").read() == open(s2, "rb").read()
+
+    def test_one_topology_build_per_seed(self, tmp_path, monkeypatch):
+        """Cells run seed-major, so a seed's cells share one build."""
+        builds = []
+        generate = simnet.generate_power_law_topology
+
+        def counted(*args):
+            builds.append(args)
+            return generate(*args)
+
+        monkeypatch.setattr(simnet, "generate_power_law_topology", counted)
+        simnet._topology.cache_clear()
+        spec = spec_from_dict(tiny_spec_dict(seeds=[0, 1, 2]))  # 2 values x 2 schemes x 3 seeds
+        run_experiment(spec, output_dir=tmp_path)
+        assert len(builds) == 3
+        assert len(set(builds)) == 3
 
     def test_workers_capped_at_cell_count(self, tmp_path, monkeypatch):
         """Every worker is forked at the first submit, so there are no more than cells."""

@@ -276,10 +276,11 @@ def rescan_greedy(instance):
     curdist = nearest_copy(x, instance)
     pool = float(instance.c_sum)
     best_router, best_gain = np.zeros(m, dtype=int), np.zeros(m)
+    saved = np.empty((n, n))
     rescore = range(m)
     while True:
         for k in rescore:
-            gain = _gain_column(qs[:, k], curdist[:, k], hop)
+            gain = _gain_column(qs[:, k], curdist[:, k], hop, saved)
             gain[x[:, k]] = -np.inf
             best_router[k] = np.argmax(gain)
             best_gain[k] = gain[best_router[k]]

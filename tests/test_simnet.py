@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cachenet import simnet
 from cachenet.netmodel import (
     Catalog,
     DemandMatrix,
@@ -29,6 +30,7 @@ from cachenet.simnet import (
     SimConfig,
     _nearest_supplier,
     apply_placement,
+    build_instance,
     deterministic_epoch,
     handle_request,
     run_epoch,
@@ -468,7 +470,6 @@ class TestRunSimulation:
         report = run_simulation(cfg)
         counts = report.telemetry.request_count.sum(axis=1)
         # every request pays (hops to the origin attachment) + penalty
-        from cachenet.simnet import build_instance
         inst = build_instance(cfg)
         dorg = inst.topology.origin_distances
         expected = float((counts * dorg).sum()) / counts.sum()
@@ -506,3 +507,36 @@ class TestRunSimulation:
                         epochs=2, warmup_epochs=0, seed=3, cache_fraction=0.2)
         report = run_simulation(cfg)
         assert report.total_requests == 400
+
+
+class TestTopologyMemo:
+    """Consecutive cells of one seed share a memoised topology; none sees another cell's state."""
+
+    CELL = dict(nodes=10, objects=20, requests_per_epoch=400, epochs=3, warmup_epochs=1,
+                cache_fraction=0.2, seed=4)
+
+    @staticmethod
+    def outputs(config):
+        report = run_simulation(config)
+        tele = report.telemetry
+        return (report.avg_hops, report.hit_ratio, report.total_requests, tele.request_count.tolist(),
+                tele.hit_count.tolist(), tele.hops_accumulated.tolist())
+
+    @pytest.mark.parametrize("scheme, other", [(Scheme.OPTIMIZED, Scheme.LCE_LFU),
+                                               (Scheme.LCE_LRU, Scheme.OPTIMIZED)])
+    def test_cell_alone_equals_cell_after_others(self, scheme, other):
+        cfg = SimConfig(scheme, **self.CELL)
+        simnet._topology.cache_clear()
+        alone = self.outputs(cfg)
+        run_simulation(replace(cfg, seed=cfg.seed + 1))
+        after_other_seed = self.outputs(cfg)
+        run_simulation(replace(cfg, scheme=other))
+        hits = simnet._topology.cache_info().hits
+        after_same_seed = self.outputs(cfg)
+        assert simnet._topology.cache_info().hits == hits + 1  # served from the memo
+        assert alone == after_other_seed == after_same_seed
+
+    def test_hop_matrix_read_only(self):
+        topology = build_instance(SimConfig(Scheme.NO_CACHE, **self.CELL)).topology
+        with pytest.raises(ValueError):
+            topology.hop_matrix[0, 1] = 0

@@ -7,7 +7,6 @@ catalog, and the per-node per-object request-rate matrix.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -112,42 +111,33 @@ class DemandMatrix:
             raise InvalidParameterError("at least one rate must be positive")
 
 
-def _bfs_hops(adjacency: list, source: int) -> np.ndarray:
-    n = len(adjacency)
-    dist = np.full(n, -1, dtype=int)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
-def _adjacency(node_count: int, edges) -> list:
-    adj = [[] for _ in range(node_count)]
-    for u, v in sorted(edges):
-        adj[u].append(v)
-        adj[v].append(u)
-    for nbrs in adj:
-        nbrs.sort()
+def _adjacency(node_count: int, edges) -> np.ndarray:
+    """0/1 adjacency matrix; float32 sums of its rows stay exact below 2**24 nodes."""
+    adj = np.zeros((node_count, node_count), dtype=np.float32)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = 1
     return adj
 
 
 def all_pairs_hops(node_count: int, edges) -> np.ndarray:
-    """Shortest-path hop counts via BFS from every node.
+    """Shortest-path hop counts by one BFS from all nodes at once: level by
+    level, a node joins a source's frontier when a neighbour is on it.
 
     Raises DisconnectedGraphError if any pair is unreachable.
     """
     adj = _adjacency(node_count, edges)
     hop = np.zeros((node_count, node_count), dtype=int)
-    for s in range(node_count):
-        dist = _bfs_hops(adj, s)
-        if np.any(dist < 0):
-            raise DisconnectedGraphError(f"node {s} cannot reach every node")
-        hop[s] = dist
+    reached = np.eye(node_count, dtype=bool)
+    frontier = reached
+    level = 0
+    while frontier.any():
+        level += 1
+        frontier = (frontier.astype(np.float32) @ adj > 0) & ~reached
+        hop[frontier] = level
+        reached |= frontier
+    unreached = ~reached.all(axis=1)
+    if unreached.any():
+        raise DisconnectedGraphError(f"node {int(unreached.argmax())} cannot reach every node")
     return hop
 
 
@@ -162,7 +152,7 @@ def bfs_next_hop(hop_matrix: np.ndarray, edges) -> np.ndarray:
     adj = _adjacency(node_count, edges)
     nxt = np.empty((node_count, node_count), dtype=int)
     for s in range(node_count):
-        nbrs = np.array(adj[s], dtype=int)
+        nbrs = np.flatnonzero(adj[s])  # ascending
         closer = hop_matrix[nbrs] == hop_matrix[s] - 1  # closer[a, t]: nbrs[a] is one hop nearer t
         reached = closer.any(axis=0)
         reached[s] = True

@@ -171,18 +171,25 @@ class Cache:
 
         Objects larger than the whole cache are not admitted.
         """
-        if obj in self._items or size > self.capacity:
+        items = self._items
+        if obj in items or size > self.capacity:
             return []
         evicted = []
-        while self.used + size > self.capacity:
-            victim = self._select_victim()
-            entry = self._items.pop(victim)
-            self.used -= entry if self.policy is Policy.LRU else entry[1]
-            evicted.append(victim)
         if self.policy is Policy.LRU:
-            self._items[obj] = size
+            while self.used + size > self.capacity:
+                victim, victim_size = items.popitem(last=False)
+                self.used -= victim_size
+                evicted.append(victim)
+            items[obj] = size
         else:
-            self._items[obj] = [1, size]
+            while self.used + size > self.capacity:
+                count, victim = heapq.heappop(self._heap)
+                entry = items.get(victim)
+                if entry is not None and entry[0] == count:  # else a stale heap entry
+                    del items[victim]
+                    self.used -= entry[1]
+                    evicted.append(victim)
+            items[obj] = [1, size]
             self._push(1, obj)
         self.used += size
         return evicted
@@ -195,15 +202,6 @@ class Cache:
             heapq.heapify(self._heap)
         else:
             heapq.heappush(self._heap, (count, obj))
-
-    def _select_victim(self) -> int:
-        if self.policy is Policy.LRU:
-            return next(iter(self._items))
-        while True:
-            count, obj = heapq.heappop(self._heap)
-            entry = self._items.get(obj)
-            if entry is not None and entry[0] == count:
-                return obj
 
 
 @dataclass(eq=False)
@@ -225,6 +223,22 @@ class TelemetryLog:
         return int(self.request_count.sum())
 
 
+class _ReplyStops(dict):
+    """(requester, supplier) -> the routers that admit a reply, filled on first
+    use: the shortest path without a router supplier, which already holds the
+    object, or the whole path to the origin's attachment router."""
+
+    def __init__(self, next_hop: np.ndarray, origin_attach: int):
+        super().__init__()
+        self.next_hop, self.origin_attach = next_hop, origin_attach
+
+    def __missing__(self, key: tuple) -> tuple:
+        node, supplier = key
+        path = shortest_path(self.next_hop, node, self.origin_attach if supplier == ORIGIN else supplier)
+        self[key] = stops = tuple(path if supplier == ORIGIN else path[:-1])
+        return stops
+
+
 class NetworkState:
     """Mutable simulation state: telemetry plus how requests are served.
 
@@ -232,7 +246,8 @@ class NetworkState:
     installs: ``placement`` and its nearest-copy distances ``placement_dist``
     are the only record of residency. ``NetworkState(instance, capacities,
     policy)`` is a leave-copy-everywhere state with one LRU or LFU cache per
-    router, a holder index per object, and the next-hop table.
+    router, a holder index per object, the next-hop table, and the
+    ``_ReplyStops`` memo over it.
     """
 
     def __init__(self, instance: Instance, capacities=None, policy: Policy | None = None):
@@ -251,6 +266,7 @@ class NetworkState:
         self._key = (instance.topology.hop_matrix * n + np.arange(n)).tolist()
         self._dorg = [int(d) for d in instance.topology.origin_distances]
         self._sizes = instance.catalog.sizes.tolist()
+        self.reply_stops = _ReplyStops(self.next_hop, instance.topology.origin_attach)
 
 
 def apply_placement(state: NetworkState, placement: Placement) -> None:
@@ -280,18 +296,20 @@ def handle_request(state: NetworkState, node: int, obj: int) -> int:
     per the cache policy. Serves only: ``run_epoch`` records the telemetry.
     """
     cache = state.caches[node]
-    if obj in cache:
+    if obj in cache._items:
         cache.touch(obj)
         return 0
     supplier, hops = _nearest_supplier(state, node, obj)
     size = state._sizes[obj]
-    tail = state.instance.topology.origin_attach if supplier == ORIGIN else supplier
-    for stop in shortest_path(state.next_hop, node, tail):
-        evicted = state.caches[stop].insert(obj, size)
-        if obj in state.caches[stop]:
-            state.holders[obj].add(stop)
-        for victim in evicted:
-            state.holders[victim].discard(stop)
+    caches, holders = state.caches, state.holders
+    # no stop holds obj (the supplier is the nearest copy), so a stop admits it
+    # exactly when it fits the whole cache
+    for stop in state.reply_stops[node, supplier]:
+        cache = caches[stop]
+        for victim in cache.insert(obj, size):
+            holders[victim].discard(stop)
+        if size <= cache.capacity:
+            holders[obj].add(stop)
     return hops
 
 
@@ -340,8 +358,9 @@ def run_epoch(config: SimConfig, state: NetworkState, rng: np.random.Generator) 
         return _record(state, requesters, objects, state.placement_dist[requesters, objects],
                        state.placement.x[requesters, objects])
     hops, hits = [], []
+    residents = [cache._items for cache in state.caches]
     for node, obj in zip(requesters.tolist(), objects.tolist()):
-        hits.append(obj in state.caches[node])  # residency before serving: a 0-hop miss is a miss
+        hits.append(obj in residents[node])  # residency before serving: a 0-hop miss is a miss
         hops.append(handle_request(state, node, obj))
     return _record(state, requesters, objects, hops, hits)
 

@@ -20,6 +20,7 @@ from cachenet.netmodel import (
     shortest_path,
     zipf_popularity,
 )
+from util import random_connected_edges, reference_all_pairs_hops
 
 
 def brute_force_hops(n, edges):
@@ -114,6 +115,37 @@ class TestAllPairsHops:
         n = 4 + seed % 5  # up to 8 nodes
         topo = generate_power_law_topology(n, 2 if n > 2 else 1, seed=seed)
         assert np.array_equal(topo.hop_matrix, brute_force_hops(n, topo.edges))
+
+    @pytest.mark.parametrize("n, m_attach", [(n, m) for n in (2, 3, 17, 64, 300) for m in (1, 2, 3)
+                                             if n >= m + 1])  # the generator's precondition
+    def test_matches_deque_bfs_on_power_law(self, n, m_attach):
+        for seed in range(3):
+            topo = generate_power_law_topology(n, m_attach, seed=seed)
+            hop = all_pairs_hops(n, topo.edges)
+            assert hop.dtype == int
+            assert np.array_equal(hop, reference_all_pairs_hops(n, topo.edges))
+
+    def test_matches_deque_bfs_on_random_graphs(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            edges = random_connected_edges(rng, n)
+            assert np.array_equal(all_pairs_hops(n, edges), reference_all_pairs_hops(n, edges))
+
+    def test_disconnected_message_matches_deque_bfs(self):
+        rng = np.random.default_rng(18)
+        cases = [(4, {(0, 1), (2, 3)}), (3, {(1, 2)}), (2, set())]
+        for _ in range(20):  # two random components, labels shuffled
+            a, b = (int(k) for k in rng.integers(1, 10, size=2))
+            edges = random_connected_edges(rng, a) | {(u + a, v + a) for u, v in random_connected_edges(rng, b)}
+            label = rng.permutation(a + b)
+            cases.append((a + b, {tuple(sorted((int(label[u]), int(label[v])))) for u, v in edges}))
+        for n, edges in cases:
+            with pytest.raises(DisconnectedGraphError) as expected:
+                reference_all_pairs_hops(n, edges)
+            with pytest.raises(DisconnectedGraphError) as got:
+                all_pairs_hops(n, edges)
+            assert str(got.value) == str(expected.value)
 
     def test_symmetry_and_triangle(self):
         topo = generate_power_law_topology(20, 2, seed=4)

@@ -10,11 +10,14 @@ from cachenet.netmodel import (
     InvalidParameterError,
     Topology,
     all_pairs_hops,
+    bfs_next_hop,
     build_demand,
     generate_power_law_topology,
+    shortest_path,
     zipf_popularity,
 )
 from cachenet.optimizer import (
+    ORIGIN,
     Instance,
     Placement,
     average_hops,
@@ -55,21 +58,27 @@ def installed(inst, x, budgets):
 
 
 class ReferenceLRU:
-    """Independent single-list LRU used as an oracle."""
+    """Dict LRU used as an oracle: insertion order is recency, oldest first."""
 
     def __init__(self, capacity):
-        self.capacity = capacity
-        self.items = []
+        self.capacity = float(capacity)
+        self.items = {}  # key -> size
+        self.used = 0.0
 
-    def access(self, obj):
-        if obj in self.items:
-            self.items.remove(obj)
-            self.items.insert(0, obj)
-            return True
-        self.items.insert(0, obj)
-        if len(self.items) > self.capacity:
-            self.items.pop()
-        return False
+    def touch(self, obj):
+        self.items[obj] = self.items.pop(obj)
+
+    def insert(self, obj, size):
+        if obj in self.items or size > self.capacity:
+            return []
+        evicted = []
+        while self.used + size > self.capacity:
+            victim = next(iter(self.items))
+            self.used -= self.items.pop(victim)
+            evicted.append(victim)
+        self.items[obj] = size
+        self.used += size
+        return evicted
 
 
 class ReferenceLFU:
@@ -96,6 +105,46 @@ class ReferenceLFU:
         return evicted
 
 
+class ReferenceLCE:
+    """The LCE request path without the reply-stop memo, used as an oracle: a
+    walk of the next-hop table to the supplier, an insert at every stop with the
+    supplier included, and holders read back from cache membership."""
+
+    def __init__(self, inst, capacities, policy):
+        self.topology = inst.topology
+        self.sizes = inst.catalog.sizes
+        make = ReferenceLRU if policy is Policy.LRU else ReferenceLFU
+        self.caches = [make(c) for c in capacities]
+        self.holders = [set() for _ in range(inst.m)]
+        self.next_hop = bfs_next_hop(inst.topology.hop_matrix, inst.topology.edges)
+        self.admitted = self.evicted = self.refused = self.from_routers = 0
+
+    def request(self, node, obj):
+        """Serve one request; returns (hops, local hit)."""
+        topo = self.topology
+        if obj in self.caches[node].items:
+            self.caches[node].touch(obj)
+            return 0, True
+        supplier, hops = ORIGIN, int(topo.origin_distances[node])
+        if self.holders[obj]:  # nearest router, lowest index on ties; a router wins a tie with the origin
+            d, j = min((int(topo.hop_matrix[node, j]), j) for j in self.holders[obj])
+            if d <= hops:
+                supplier, hops = j, d
+                self.from_routers += 1
+        tail = topo.origin_attach if supplier == ORIGIN else supplier
+        for stop in shortest_path(self.next_hop, node, tail):
+            had = obj in self.caches[stop].items
+            evicted = self.caches[stop].insert(obj, float(self.sizes[obj]))
+            if obj in self.caches[stop].items:
+                self.holders[obj].add(stop)
+                self.admitted += not had
+            for victim in evicted:
+                self.holders[victim].discard(stop)
+            self.evicted += len(evicted)
+            self.refused += self.sizes[obj] > self.caches[stop].capacity
+        return hops, False
+
+
 class TestCache:
     def test_lru_matches_reference(self):
         rng = np.random.default_rng(0)
@@ -104,12 +153,12 @@ class TestCache:
             ref = ReferenceLRU(capacity)
             for obj in rng.integers(0, 8, size=400).tolist():
                 if obj in cache:
+                    assert obj in ref.items
                     cache.touch(obj)
-                    assert ref.access(obj)
+                    ref.touch(obj)
                 else:
-                    cache.insert(obj, 1.0)
-                    assert not ref.access(obj)
-                assert sorted(cache.residents()) == sorted(ref.items)
+                    assert cache.insert(obj, 1.0) == ref.insert(obj, 1.0)
+                assert cache.residents() == list(ref.items)
 
     def test_lfu_evicts_least_frequent(self):
         cache = Cache(2, Policy.LFU)
@@ -245,6 +294,81 @@ class TestHandleRequest:
                     handle_request(state, int(rng.integers(inst.n)), int(rng.integers(inst.m)))
                     assert state.holders == [{i for i in range(inst.n) if k in state.caches[i]}
                                              for k in range(inst.m)]
+
+
+class TestAgainstReferenceLCE:
+    """``handle_request`` (memoised reply stops, no insert at the supplier)
+    against the plain algorithm, request by request."""
+
+    def test_replay_matches_reference(self):
+        rng = np.random.default_rng(57)
+        totals = dict(admitted=0, evicted=0, refused=0, from_routers=0)
+        for trial in range(200):
+            inst = random_instance(rng, n_max=8, m_max=6, unit_sizes=trial % 4 == 0, max_size=3)
+            penalty = 0 if trial % 2 else 3
+            inst = Instance(replace(inst.topology, origin_penalty=penalty), inst.catalog, inst.demand, inst.c_sum)
+            capacities = rng.integers(0, 4, size=inst.n).astype(float)
+            policy = Policy.LRU if trial % 3 else Policy.LFU
+            state, ref = NetworkState(inst, capacities, policy), ReferenceLCE(inst, capacities, policy)
+            for _ in range(60):
+                i, k = int(rng.integers(inst.n)), int(rng.integers(inst.m))
+                hit = k in state.caches[i]
+                assert (handle_request(state, i, k), hit) == ref.request(i, k), trial
+                assert [c.residents() for c in state.caches] == [list(c.items) for c in ref.caches], trial
+                assert [c.used for c in state.caches] == [c.used for c in ref.caches], trial
+                assert state.holders == ref.holders, trial
+            for key in totals:
+                totals[key] += getattr(ref, key)
+        assert all(v > 100 for v in totals.values()), totals  # every branch was exercised
+
+    def test_probe_hooks_see_every_request_and_admission(self, monkeypatch):
+        """A counter on the module global ``handle_request`` sees each request
+        once, and one on the class attribute ``Cache.insert`` sees every
+        admission and eviction, as the benchmark's per-layer probes assume."""
+        seen = dict(requests=0, admitted=0, evicted=0)
+        serve, insert = simnet.handle_request, simnet.Cache.insert
+
+        def counted_request(*args):
+            seen["requests"] += 1
+            return serve(*args)
+
+        def counted_insert(cache, obj, size):
+            had = obj in cache
+            evicted = insert(cache, obj, size)
+            seen["admitted"] += not had and obj in cache
+            seen["evicted"] += len(evicted)
+            return evicted
+
+        monkeypatch.setattr(simnet, "handle_request", counted_request)
+        monkeypatch.setattr(simnet.Cache, "insert", counted_insert)
+        for scheme, policy in ((Scheme.LCE_LRU, Policy.LRU), (Scheme.LCE_LFU, Policy.LFU)):
+            for k in seen:
+                seen[k] = 0
+            cfg = SimConfig(scheme, nodes=16, objects=40, requests_per_epoch=3000, cache_fraction=0.1,
+                            epochs=2, warmup_epochs=0)
+            inst = build_instance(cfg)
+            capacities = np.full(inst.n, float(cfg.slots_per_node))
+            state, ref = NetworkState(inst, capacities, policy), ReferenceLCE(inst, capacities, policy)
+            run_epoch(cfg, state, np.random.default_rng(5))
+            draw = np.random.default_rng(5)
+            requesters = draw.integers(0, inst.n, size=cfg.requests_per_epoch)
+            objects = draw.choice(inst.m, size=cfg.requests_per_epoch, p=inst.catalog.popularity)
+            for i, k in zip(requesters.tolist(), objects.tolist()):
+                ref.request(i, k)
+            assert seen == dict(requests=3000, admitted=ref.admitted, evicted=ref.evicted)
+            assert ref.evicted > 0
+
+            # the memo: each entry is the reply path without a router supplier,
+            # or the whole path to the origin's attachment router
+            topo = inst.topology
+            assert 0 < len(state.reply_stops) <= inst.n * (inst.n + 1)
+            for (i, j), stops in state.reply_stops.items():
+                assert type(stops) is tuple
+                if j == ORIGIN:
+                    assert stops == tuple(shortest_path(state.next_hop, i, topo.origin_attach))
+                else:
+                    assert stops == tuple(shortest_path(state.next_hop, i, j)[:-1])
+            assert any(j == ORIGIN for _, j in state.reply_stops) and any(j != ORIGIN for _, j in state.reply_stops)
 
 
 class TestNearestSupplier:

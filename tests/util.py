@@ -1,8 +1,18 @@
-"""Shared helpers: tiny randomized instances sized for the exhaustive solver."""
+"""Shared helpers: tiny randomized instances sized for the exhaustive solver,
+and reference algorithms kept as oracles."""
+
+from collections import deque
 
 import numpy as np
 
-from cachenet.netmodel import Catalog, DemandMatrix, Topology, all_pairs_hops, zipf_popularity
+from cachenet.netmodel import (
+    Catalog,
+    DemandMatrix,
+    DisconnectedGraphError,
+    Topology,
+    all_pairs_hops,
+    zipf_popularity,
+)
 from cachenet.optimizer import Instance, nearest_copy
 
 
@@ -43,3 +53,27 @@ def random_instance(rng, n_max=4, m_max=5, c_max=4, unit_sizes=True, max_size=2)
 def nearest_assignment(placement, instance):
     """The nearest-copy kernel's supplier matrix: supplier[i, k] serves object k to router i."""
     return nearest_copy(placement.x, instance, supplier=True)[1]
+
+
+def reference_all_pairs_hops(node_count, edges):
+    """Oracle for ``all_pairs_hops``: a deque BFS from one source at a time,
+    raising for the first source that cannot reach every node."""
+    adj = [[] for _ in range(node_count)]
+    for u, v in sorted(edges):
+        adj[u].append(v)
+        adj[v].append(u)
+    hop = np.zeros((node_count, node_count), dtype=int)
+    for s in range(node_count):
+        dist = np.full(node_count, -1, dtype=int)
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        if np.any(dist < 0):
+            raise DisconnectedGraphError(f"node {s} cannot reach every node")
+        hop[s] = dist
+    return hop

@@ -111,21 +111,16 @@ class DemandMatrix:
             raise InvalidParameterError("at least one rate must be positive")
 
 
-def _adjacency(node_count: int, edges) -> np.ndarray:
-    """0/1 adjacency matrix; float32 sums of its rows stay exact below 2**24 nodes."""
-    adj = np.zeros((node_count, node_count), dtype=np.float32)
-    for u, v in edges:
-        adj[u, v] = adj[v, u] = 1
-    return adj
-
-
 def all_pairs_hops(node_count: int, edges) -> np.ndarray:
     """Shortest-path hop counts by one BFS from all nodes at once: level by
     level, a node joins a source's frontier when a neighbour is on it.
 
     Raises DisconnectedGraphError if any pair is unreachable.
     """
-    adj = _adjacency(node_count, edges)
+    # 0/1 adjacency; float32 sums of its rows stay exact below 2**24 nodes
+    adj = np.zeros((node_count, node_count), dtype=np.float32)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = 1
     hop = np.zeros((node_count, node_count), dtype=int)
     reached = np.eye(node_count, dtype=bool)
     frontier = reached
@@ -141,23 +136,19 @@ def all_pairs_hops(node_count: int, edges) -> np.ndarray:
     return hop
 
 
-def bfs_next_hop(hop_matrix: np.ndarray, edges) -> np.ndarray:
-    """next_hop[s, t] = first router on a shortest path from s to t.
+def bfs_next_hop(hop_matrix: np.ndarray) -> np.ndarray:
+    """next_hop[s, t] = first router on a shortest path from s to t, read from
+    a connected graph's hop matrix, whose hop-1 entries are the adjacency.
 
     Deterministic: the lowest-index neighbor u of s with
     hop[u, t] == hop[s, t] - 1, which is the first hop in the BFS tree that
     expands neighbors in ascending index order. next_hop[s, s] = s.
     """
     node_count = len(hop_matrix)
-    adj = _adjacency(node_count, edges)
     nxt = np.empty((node_count, node_count), dtype=int)
     for s in range(node_count):
-        nbrs = np.flatnonzero(adj[s])  # ascending
+        nbrs = np.flatnonzero(hop_matrix[s] == 1)  # ascending
         closer = hop_matrix[nbrs] == hop_matrix[s] - 1  # closer[a, t]: nbrs[a] is one hop nearer t
-        reached = closer.any(axis=0)
-        reached[s] = True
-        if not reached.all():
-            raise DisconnectedGraphError(f"node {s} cannot reach every node")
         nxt[s] = nbrs[closer.argmax(axis=0)] if nbrs.size else s  # argmax takes the lowest index
         nxt[s, s] = s
     return nxt

@@ -62,12 +62,6 @@ class Placement:
     def copy(self) -> "Placement":
         return Placement(self.x.copy(), self.budgets.copy())
 
-    @classmethod
-    def empty(cls, n: int, m: int, c_sum: float = 0.0) -> "Placement":
-        budgets = np.zeros(n)
-        budgets[0] = c_sum
-        return cls(np.zeros((n, m), dtype=bool), budgets)
-
 
 @dataclass(eq=False)
 class Instance:
@@ -91,12 +85,6 @@ class Instance:
     @property
     def m(self) -> int:
         return self.catalog.object_count
-
-    def distance(self, i: int, j: int) -> float:
-        """Hop distance from router i to supplier j (ORIGIN allowed)."""
-        if j == ORIGIN:
-            return float(self.topology.origin_distances[i])
-        return float(self.topology.hop_matrix[i, j])
 
 
 @dataclass

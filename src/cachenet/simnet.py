@@ -138,8 +138,10 @@ class SimConfig:
 class Cache:
     """Single-router LCE cache; sizes are in the catalog's size units.
 
-    LFU evicts the lowest count, ties to the lowest object id, from a heap of
-    (count, object) entries; entries for evicted objects or old counts are skipped.
+    LFU evicts the lowest count, ties to the lowest object id. Its heap holds
+    one (count, object) entry per resident; a hit raises only the count in
+    ``_items``, so an entry's count is at most its object's, and a top entry
+    whose count is current is the minimum.
     """
 
     def __init__(self, capacity: float, policy: Policy):
@@ -162,9 +164,7 @@ class Cache:
         if self.policy is Policy.LRU:
             self._items.move_to_end(obj)
         else:
-            entry = self._items[obj]
-            entry[0] += 1
-            self._push(entry[0], obj)
+            self._items[obj][0] += 1
 
     def insert(self, obj: int, size: float) -> list:
         """Insert ``obj``, evicting per policy; returns the evicted objects.
@@ -182,26 +182,21 @@ class Cache:
                 evicted.append(victim)
             items[obj] = size
         else:
+            heap = self._heap
             while self.used + size > self.capacity:
-                count, victim = heapq.heappop(self._heap)
-                entry = items.get(victim)
-                if entry is not None and entry[0] == count:  # else a stale heap entry
+                count, victim = heap[0]
+                entry = items[victim]
+                if count < entry[0]:  # lags its hits: re-key it and look again
+                    heapq.heapreplace(heap, (entry[0], victim))
+                else:
+                    heapq.heappop(heap)
                     del items[victim]
                     self.used -= entry[1]
                     evicted.append(victim)
             items[obj] = [1, size]
-            self._push(1, obj)
+            heapq.heappush(heap, (1, obj))
         self.used += size
         return evicted
-
-    def _push(self, count: int, obj: int) -> None:
-        """Add ``obj``'s current LFU key, already set in ``_items``, to the heap."""
-        # a cache that only gets hits only pushes, so stale entries need a bound
-        if len(self._heap) >= 2 * len(self._items) + 8:
-            self._heap = [(entry[0], o) for o, entry in self._items.items()]
-            heapq.heapify(self._heap)
-        else:
-            heapq.heappush(self._heap, (count, obj))
 
 
 @dataclass(eq=False)
@@ -260,7 +255,7 @@ class NetworkState:
             return
         self.caches = [Cache(capacities[i], policy) for i in range(n)]
         self.holders = [set() for _ in range(m)]
-        self.next_hop = bfs_next_hop(instance.topology.hop_matrix, instance.topology.edges)
+        self.next_hop = bfs_next_hop(instance.topology.hop_matrix)
         # python-native copies for the per-request fast path; _key[i][j] =
         # hop(i, j) * n + j orders routers by distance, then by index
         self._key = (instance.topology.hop_matrix * n + np.arange(n)).tolist()

@@ -130,7 +130,8 @@ class TestControllerEpoch:
             assert check_feasibility(decision.placement, inst).ok
             est_inst = Instance(inst.topology, inst.catalog,
                                 DemandMatrix(estimate_demand(log, 1.0)), inst.c_sum)
-            empty_cost = placement_cost(Placement.empty(inst.n, inst.m, inst.c_sum), est_inst)
+            empty = Placement(np.zeros((inst.n, inst.m), dtype=bool), np.r_[inst.c_sum, np.zeros(inst.n - 1)])
+            empty_cost = placement_cost(empty, est_inst)
             assert decision.estimated_cost <= empty_cost + 1e-9
 
     def test_true_demand_bypass_matches_solver(self):

@@ -20,7 +20,7 @@ from cachenet.netmodel import (
     shortest_path,
     zipf_popularity,
 )
-from util import random_connected_edges, reference_all_pairs_hops
+from util import random_connected_edges, reference_all_pairs_hops, reference_next_hop
 
 
 def brute_force_hops(n, edges):
@@ -158,7 +158,7 @@ class TestAllPairsHops:
 class TestNextHop:
     def test_paths_are_shortest(self):
         topo = generate_power_law_topology(15, 2, seed=9)
-        nxt = bfs_next_hop(topo.hop_matrix, topo.edges)
+        nxt = bfs_next_hop(topo.hop_matrix)
         edge_set = topo.edges
         for s in range(topo.node_count):
             for t in range(topo.node_count):
@@ -170,9 +170,20 @@ class TestNextHop:
     def test_tie_breaks_to_lowest_neighbor(self):
         # 4-cycle 0-1, 0-2, 1-3, 2-3: both ways round are shortest
         edges = frozenset({(0, 1), (0, 2), (1, 3), (2, 3)})
-        nxt = bfs_next_hop(all_pairs_hops(4, edges), edges)
+        nxt = bfs_next_hop(all_pairs_hops(4, edges))
         assert nxt[0, 3] == 1
         assert nxt[3, 0] == 1
+
+    def test_matches_reference(self):
+        graphs = [(n, generate_power_law_topology(n, m_attach, seed=seed).edges)
+                  for n in (2, 3, 4, 17, 64, 128, 300, 512) for m_attach in (1, 2, 3) if n >= m_attach + 1
+                  for seed in range(3)]
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            graphs.append((n, random_connected_edges(rng, n)))
+        for n, edges in graphs:
+            assert np.array_equal(bfs_next_hop(all_pairs_hops(n, edges)), reference_next_hop(n, edges))
 
 
 class TestZipf:

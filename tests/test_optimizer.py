@@ -49,10 +49,10 @@ def brute_force_objective(placement, instance):
     total = 0.0
     for i in range(instance.n):
         for k in range(instance.m):
-            d = instance.distance(i, ORIGIN)
+            d = float(instance.topology.origin_distances[i])
             for j in range(instance.n):
                 if placement.x[j, k]:
-                    d = min(d, instance.distance(i, j))
+                    d = min(d, float(instance.topology.hop_matrix[i, j]))
             total += instance.demand.rates[i, k] * d * instance.catalog.sizes[k]
     return total
 
@@ -73,7 +73,7 @@ class TestNearestCopyAssignment:
     def test_all_zero_goes_to_origin(self):
         topo = path_topology(3)
         inst = make_instance(topo, 2, 0.5, np.ones((3, 2)), 0.0)
-        placement = Placement.empty(3, 2)
+        placement = Placement(np.zeros((3, 2), dtype=bool), np.zeros(3))
         assign = nearest_assignment(placement, inst)
         assert np.all(assign == ORIGIN)
 
@@ -155,7 +155,7 @@ class TestObjective:
     def test_average_hops_normalization(self):
         topo = path_topology(2, origin_attach=0, penalty=5)
         inst = make_instance(topo, 1, 0.0, np.ones((2, 1)), 0.0)
-        cost = placement_cost(Placement.empty(2, 1), inst)
+        cost = placement_cost(Placement(np.zeros((2, 1), dtype=bool), np.zeros(2)), inst)
         assert average_hops(cost, inst) == pytest.approx((5 + 6) / 2)
 
 

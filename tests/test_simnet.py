@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,6 @@ from cachenet.netmodel import (
     InvalidParameterError,
     Topology,
     all_pairs_hops,
-    bfs_next_hop,
     build_demand,
     generate_power_law_topology,
     shortest_path,
@@ -39,7 +39,7 @@ from cachenet.simnet import (
     run_epoch,
     run_simulation,
 )
-from util import nearest_assignment, random_instance
+from util import nearest_assignment, random_instance, reference_next_hop
 
 
 def path_instance(n, m, alpha=0.5, origin_attach=0, penalty=3, c_sum=0.0):
@@ -116,7 +116,7 @@ class ReferenceLCE:
         make = ReferenceLRU if policy is Policy.LRU else ReferenceLFU
         self.caches = [make(c) for c in capacities]
         self.holders = [set() for _ in range(inst.m)]
-        self.next_hop = bfs_next_hop(inst.topology.hop_matrix, inst.topology.edges)
+        self.next_hop = reference_next_hop(inst.n, inst.topology.edges)
         self.admitted = self.evicted = self.refused = self.from_routers = 0
 
     def request(self, node, obj):
@@ -198,6 +198,8 @@ class TestCache:
                     assert cache.insert(obj, sizes[obj]) == ref.insert(obj, sizes[obj])
                 assert cache.residents() == list(ref.items)
                 assert cache.used == ref.used
+                assert sorted(resident for _, resident in cache._heap) == sorted(ref.items)
+                assert all(count <= ref.items[resident][0] for count, resident in cache._heap)
 
     def test_lfu_heap_stays_bounded_under_hits(self):
         rng = np.random.default_rng(12)
@@ -206,7 +208,7 @@ class TestCache:
             cache.insert(obj, 1.0)
         for obj in rng.integers(0, 10, size=10_000).tolist():
             cache.touch(obj)
-            assert len(cache._heap) <= 2 * len(cache.residents()) + 8
+            assert len(cache._heap) == len(cache.residents())
 
     def test_capacity_never_exceeded_under_fuzz(self):
         rng = np.random.default_rng(1)
@@ -664,3 +666,23 @@ class TestTopologyMemo:
         topology = build_instance(SimConfig(Scheme.NO_CACHE, **self.CELL)).topology
         with pytest.raises(ValueError):
             topology.hop_matrix[0, 1] = 0
+
+
+class TestDeskScaleLCE:
+    """LCE telemetry at desk scale, pinned: the 16×100 CSV digests are the only
+    other pin on the LCE schemes."""
+
+    DIGEST = "af88601bce097cc09b33fb82ef425dd45790a14d6ea7e72ad6ca3003a3048f5b"
+
+    def test_telemetry_digest(self):
+        digest = hashlib.sha256()
+        for fraction in (0.05, 0.10):
+            for scheme in (Scheme.LCE_LRU, Scheme.LCE_LFU):
+                report = run_simulation(SimConfig(scheme, nodes=64, objects=200, seed=3, cache_fraction=fraction,
+                                                  epochs=3, requests_per_epoch=20_000))
+                tele = report.telemetry
+                for counts in (tele.request_count, tele.hit_count, tele.hops_accumulated):
+                    digest.update(counts.astype(np.int64).tobytes())
+                for e in report.epoch_metrics:
+                    digest.update(repr((e.avg_hops, e.hit_ratio, e.requests)).encode())
+        assert digest.hexdigest() == self.DIGEST

@@ -55,13 +55,19 @@ def nearest_assignment(placement, instance):
     return nearest_copy(placement.x, instance, supplier=True)[1]
 
 
+def neighbour_lists(node_count, edges):
+    """Each node's neighbours, in ascending order."""
+    adj = [[] for _ in range(node_count)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return [sorted(nbrs) for nbrs in adj]
+
+
 def reference_all_pairs_hops(node_count, edges):
     """Oracle for ``all_pairs_hops``: a deque BFS from one source at a time,
     raising for the first source that cannot reach every node."""
-    adj = [[] for _ in range(node_count)]
-    for u, v in sorted(edges):
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = neighbour_lists(node_count, edges)
     hop = np.zeros((node_count, node_count), dtype=int)
     for s in range(node_count):
         dist = np.full(node_count, -1, dtype=int)
@@ -77,3 +83,15 @@ def reference_all_pairs_hops(node_count, edges):
             raise DisconnectedGraphError(f"node {s} cannot reach every node")
         hop[s] = dist
     return hop
+
+
+def reference_next_hop(node_count, edges):
+    """Oracle for ``bfs_next_hop``: for router s and target t, the lowest-index
+    neighbour of s that is one hop nearer t by ``reference_all_pairs_hops``;
+    s itself when t == s."""
+    hop = reference_all_pairs_hops(node_count, edges).tolist()
+    nxt = np.empty((node_count, node_count), dtype=int)
+    for s, nbrs in enumerate(neighbour_lists(node_count, edges)):
+        for t in range(node_count):
+            nxt[s, t] = s if t == s else next(u for u in nbrs if hop[u][t] == hop[s][t] - 1)
+    return nxt

@@ -43,6 +43,14 @@ ORIGIN = -1
 
 _EPS = 1e-12
 
+# the whole-catalog kernels take the objects a chunk at a time, so that each
+# temporary stays within about this many entries (256 KB of float64), or one
+# object's share where that is larger (two objects' for a swap's gains):
+# nearest_copy's holder table (objects x copies x n), the gain kernel's buffer
+# (objects x n x n), and the initial pricing's runner-up table (objects x
+# copies x n) and moved requesters' price rows (moved requesters x n)
+_CHUNK = 1 << 15
+
 
 class InstanceTooLargeError(ValueError):
     """Instance exceeds the exhaustive solver's enumeration guard."""
@@ -113,24 +121,41 @@ def nearest_copy(x: np.ndarray, instance: Instance, supplier: bool = False):
     With ``supplier=True`` also returns supplier[i, k], the router that
     serves it or ORIGIN. A router beats the origin at equal distance, and
     the lowest router index wins among equal routers.
+
+    The objects with copies go a chunk at a time, most copies first: each
+    chunk gathers a table of its objects' holder rows, short rows padded by
+    repeating their last copy, and reduces it to one contiguous row per object.
     """
-    hop = instance.topology.hop_matrix  # symmetric: gather holder rows, faster than columns
-    dorg = instance.topology.origin_distances
     n, m = x.shape
-    dist = np.empty((n, m))
-    sup = np.full((n, m), ORIGIN, dtype=int) if supplier else None
-    for k in range(m):
-        holders = np.flatnonzero(x[:, k])
-        if not holders.size:
-            dist[:, k] = dorg
-            continue
-        d = hop[holders]
-        best = d.min(axis=0)
-        np.minimum(best, dorg, out=dist[:, k])
-        if supplier:
-            near = best <= dorg
-            sup[near, k] = holders[d.argmin(axis=0)[near]]  # argmin keeps the lowest holder index
-    return (dist, sup) if supplier else dist
+    # with a supplier, key = hops * base + router orders by distance, then
+    # router; the origin is router n, so it loses every tie
+    base = n + 1 if supplier else 1
+    hop = instance.topology.hop_matrix  # symmetric: gather holder rows, faster than columns
+    origin = instance.topology.origin_distances * base + (n if supplier else 0)
+    dtype = np.min_scalar_type(max((int(hop.max()) + 1) * base - 1, int(origin.max())))  # smaller rows gather faster
+    key, origin = hop.astype(dtype), origin.astype(dtype)
+    if supplier:
+        key *= base
+        key += np.arange(n, dtype=dtype)[:, None]
+    best = np.empty((m, n), dtype=dtype)  # best[k] = object k's key row
+    best[:] = origin
+    obj, router = np.nonzero(x.T)  # copies by object, then router
+    counts = np.bincount(obj, minlength=m)
+    first = np.cumsum(counts) - counts  # object k's copies are router[first[k]:first[k] + counts[k]]
+    order = np.argsort(-counts, kind="stable")[:np.count_nonzero(counts)]  # objects with copies, most first
+    rows = max(1, _CHUNK // n)
+    a = 0
+    while a < order.size:
+        width = int(counts[order[a]])
+        ks = order[a:a + max(1, rows // width)]
+        table = first[ks, None] + np.minimum(np.arange(width), counts[ks, None] - 1)
+        best[ks] = np.minimum(key[router[table]].min(axis=1), origin)
+        a += ks.size
+    if not supplier:
+        return best.T.astype(float, order="C")
+    dist, sup = np.divmod(best.T.astype(int, order="C"), base)
+    sup[sup == n] = ORIGIN
+    return dist.astype(float), sup
 
 
 def evaluate_objective(supplier: np.ndarray, instance: Instance) -> float:
@@ -171,9 +196,8 @@ def check_feasibility(placement: Placement, instance: Instance) -> FeasibilityRe
     violations = []
     sizes = instance.catalog.sizes
     used = placement.x @ sizes
-    for i in range(instance.n):
-        if used[i] > placement.budgets[i] + 1e-9:
-            violations.append(Violation(3, f"node {i}: resident size {used[i]} exceeds budget {placement.budgets[i]}"))
+    for i in np.flatnonzero(used > placement.budgets + 1e-9).tolist():
+        violations.append(Violation(3, f"node {i}: resident size {used[i]} exceeds budget {placement.budgets[i]}"))
     total = float(placement.budgets.sum())
     if abs(total - instance.c_sum) > 1e-9:
         violations.append(Violation(4, f"budgets sum to {total}, pool is {instance.c_sum}"))
@@ -248,13 +272,22 @@ def exact_solve(instance: Instance) -> SolveResult:
     return SolveResult(placement, best_cost, {"method": "exact"})
 
 
-def _gain_column(q: np.ndarray, d: np.ndarray, hop: np.ndarray, saved: np.ndarray) -> np.ndarray:
-    """gain[j] = cost decrease from adding a copy at router j, for one object's
-    demand column q (rates times size) and nearest-copy distances d.
-    ``saved`` is the caller's n x n scratch buffer, overwritten."""
-    np.subtract(d[:, None], hop, out=saved)  # no n x n temporary per call
-    np.maximum(saved, 0.0, out=saved)
-    return q @ saved
+def _gains(qs: np.ndarray, dist: np.ndarray, hop: np.ndarray, saved: np.ndarray) -> np.ndarray:
+    """gain[c, 0, j] = cost decrease from adding a copy of object c at router
+    j, for demand qs[c, 0, :] (rates times size) and nearest-copy distances
+    dist[c, :, 0]; a ``dist`` of one object serves every object. ``saved``
+    is the caller's scratch buffer of at least len(dist) x n x n, overwritten.
+
+    Each object gets its own vector-matrix product. BLAS sums one the same
+    way for any column of a matrix with m > 1 columns, but a contiguous
+    vector or a 2-D ``qs.T @ saved`` sums in another order, and a gain off
+    in its last bit can change a search's picks. So ``qs`` is a view
+    ``(rates * sizes).T[:, None, :]`` of the whole demand matrix, or a slice
+    of it, never a copy of its columns."""
+    buf = saved[:len(dist)]
+    np.subtract(dist, hop, out=buf)
+    np.maximum(buf, 0.0, out=buf)
+    return np.matmul(qs, buf)
 
 
 def _greedy_entry(gain: np.ndarray, size: float, k: int) -> tuple:
@@ -278,35 +311,32 @@ def greedy_solve(instance: Instance) -> SolveResult:
     dorg = instance.topology.origin_distances.astype(float)
     sizes = instance.catalog.sizes
     size = sizes.tolist()
-    qs = instance.demand.rates * sizes[None, :]
-    x = np.zeros((n, m), dtype=bool)
-    curdist = np.repeat(dorg[:, None], m, axis=1)
-    # every object's first gain is qs[:, k] @ saved; then saved is _gain_column's buffer
-    saved = np.maximum(dorg[:, None] - hop, 0.0)
-    heap = [_greedy_entry(qs[:, k] @ saved, size[k], k) for k in range(m)]
+    each_q = (instance.demand.rates * sizes[None, :]).T[:, None, :]  # see _gains
+    x = np.zeros((m, n), dtype=bool)  # x[k, j]: object-major, so each pick works on contiguous rows
+    curdist = np.repeat(dorg[None, :, None], m, axis=0)  # curdist[k, :, 0]
+    saved = np.empty((1, n, n))
+    first = _gains(each_q, curdist[:1], hop, saved)  # every object starts from the origin's distances
+    heap = [_greedy_entry(first[k, 0], size[k], k) for k in range(m)]
     heapq.heapify(heap)
     pool = float(instance.c_sum)
-    while heap:
+    smallest = min(size)
+    while heap and smallest <= pool + 1e-9:  # else no object fits
         _, neg_gain, j, k = heap[0]
         if size[k] > pool + 1e-9:
             heapq.heappop(heap)
             continue
         if -neg_gain <= _EPS:
             break
-        x[j, k] = True
+        x[k, j] = True
         pool -= size[k]
-        np.minimum(curdist[:, k], hop[:, j], out=curdist[:, k])
-        gain = _gain_column(qs[:, k], curdist[:, k], hop, saved)
-        gain[x[:, k]] = -np.inf
-        heapq.heapreplace(heap, _greedy_entry(gain, size[k], k))
+        np.minimum(curdist[k, :, 0], hop[j], out=curdist[k, :, 0])  # hop is symmetric
+        # a holder's gain is exactly 0, so it is the best copy only when no
+        # copy gains, and then the entry is never picked: no mask needed
+        heapq.heapreplace(heap, _greedy_entry(_gains(each_q[k:k + 1], curdist[k:k + 1], hop, saved)[0, 0], size[k], k))
+    x = np.ascontiguousarray(x.T)
     out = Placement(x, _budgets_from_usage(x, sizes, instance.c_sum))
-    return SolveResult(out, _traffic(curdist, instance), {"method": "greedy", "iterations": int(x.sum())})
-
-
-# the initial pricing takes the catalog a chunk of objects at a time, so that
-# its largest temporaries (chunk x copies x n, chunk x moved requesters x n)
-# stay within about this many entries (256 KB)
-_CHUNK = 1 << 15
+    return SolveResult(out, _traffic(np.ascontiguousarray(curdist[:, :, 0].T), instance),
+                       {"method": "greedy", "iterations": int(x.sum())})
 
 
 def _runner_up(x: np.ndarray, hop: np.ndarray, dorg: np.ndarray):
@@ -368,12 +398,13 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
     loss = np.zeros((n, m))  # loss[i, k] = objective increase from dropping the copy at i
     regain = np.zeros((n, m))  # regain[i, k] = then the best gain of re-adding k where it is absent
     colmax = np.zeros(m)  # best gain of adding k where it is absent
-    saved = np.empty((n, n))  # _gain_column's scratch buffer
+    step = min(m, max(1, _CHUNK // (n * n)))  # objects per chunk of the initial pricing
+    saved = np.empty((max(2, step), n, n))  # _gains' scratch buffer: a chunk or a swap's two objects
+    each_q = qs.T[:, None, :]
 
-    def reprice(objs):
+    def reprice(objs: slice):  # a slice, so that each_q[objs] is a view (see _gains)
         near[:, objs], after[:, objs], curdist[:, objs] = _runner_up(x[:, objs], hop, dorg)
-        for c in objs:
-            gains[:, c] = _gain_column(qs[:, c], curdist[:, c], hop, saved)
+        gains[:, objs] = _gains(each_q[objs], curdist.T[objs, :, None], hop, saved)[:, 0].T
         absent = ~x[:, objs]
         colmax[objs] = np.where(absent, gains[:, objs], -np.inf).max(axis=0)
         loss[:, objs] = 0.0
@@ -381,7 +412,7 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
         c_ix, r_ix = np.nonzero((after[:, objs] > curdist[:, objs]).T)  # a tie for nearest never moves
         if not r_ix.size:
             return
-        k_ix = objs[c_ix]
+        k_ix = np.arange(m)[objs][c_ix]
         key = k_ix * n + near[r_ix, k_ix]
         order = np.argsort(key, kind="stable")
         r_ix, k_ix, key = r_ix[order], k_ix[order], key[order]
@@ -392,9 +423,8 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
         regains[x[:, cols].T] = -np.inf
         regain[rows, cols] = regains.max(axis=1)
 
-    step = max(1, _CHUNK // (n * n))
     for start in range(0, m, step):
-        reprice(np.arange(start, min(start + step, m)))
+        reprice(slice(start, min(start + step, m)))
     size_values = sorted(set(sizes.tolist()))  # not np.unique, which imports numpy.ma (about 1 MB)
     of_size = [np.flatnonzero(sizes == s) for s in size_values]
     applied = 0
@@ -425,7 +455,8 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
         x[i, k] = False
         x[j, k2] = True
         slack = slack + float(sizes[k]) - float(sizes[k2])
-        reprice(np.array(sorted({k, k2})))  # not np.unique, which imports numpy.ma (about 1 MB)
+        lo, hi = sorted((k, k2))
+        reprice(slice(lo, hi + 1, max(1, hi - lo)))  # columns k and k2 only
         applied += 1
     out = Placement(x, _budgets_from_usage(x, sizes, instance.c_sum))
     return SolveResult(out, _traffic(curdist, instance), {"method": "local_search", "iterations": applied})

@@ -69,6 +69,20 @@ class Scheme(Enum):
     NO_CACHE = "NO_CACHE"
 
 
+# A cell's largest arrays grow with three products of its parameters; this is
+# roughly their peak size per entry, in bytes (README, "Cell size"):
+# - nodes^2: the int hop matrix, the LCE next-hop table and its per-router
+#   key lists of Python ints (about 36 each), or the solver's float copy and
+#   its gain buffer;
+# - nodes x objects: the three telemetry counters, the demand estimate and
+#   the solver's working arrays;
+# - requests_per_epoch: the requester and object draws and what serving
+#   derives from them, Python lists on the LCE path.
+CELL_TERMS = (("nodes", "router pairs", 64), ("nodes x objects", "(router, object) pairs", 128),
+              ("requests_per_epoch", "requests per epoch", 128))
+CELL_BYTES_BOUND = 4 << 30  # a cell estimated above this many bytes is rejected
+
+
 def is_number(value, kind) -> bool:
     """``value`` is an instance of the ``numbers`` ABC ``kind`` and not a bool."""
     return isinstance(value, kind) and not isinstance(value, bool)
@@ -122,6 +136,15 @@ class SimConfig:
             raise InvalidParameterError("cache_fraction * objects must be >= 1 unless NO_CACHE")
         if self.seed < 0:
             raise InvalidParameterError("seed must be nonnegative")
+        counts = (self.nodes ** 2, self.nodes * self.objects, self.requests_per_epoch)
+        need = [count * per for count, (*_, per) in zip(counts, CELL_TERMS)]
+        if sum(need) > CELL_BYTES_BOUND:
+            worst = max(range(len(need)), key=need.__getitem__)
+            field, what, _ = CELL_TERMS[worst]
+            raise InvalidParameterError(
+                f"{field}: the cell's arrays need about {sum(need) / 2**30:.3g} GiB, above the "
+                f"{CELL_BYTES_BOUND / 2**30:g} GiB a cell may use; its {counts[worst]:.3g} {what} "
+                f"take {need[worst] / 2**30:.3g} GiB")
 
     @property
     def slots_per_node(self) -> int:

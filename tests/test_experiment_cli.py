@@ -37,12 +37,14 @@ MISTYPED = [("nodes", "abc", "nodes_str"), ("values", ["0.1"], "values_str"),
 # unknown field, whatever the value
 RETIRED = [("per_node_rate", 0, "per_node_rate"),
            ("per_node_rate", 5e-324, "per_node_rate_subnormal")]
+# cells whose arrays no run could hold: rejected from the spec, without running
+OVERSIZED = [("nodes", 200_000, "nodes_oversized"), ("requests_per_epoch", 10**12, "requests_oversized")]
 BAD_SPECS = ([pytest.param("seeds", [2, 2], id="seeds"),
               pytest.param("seeds", [0, -1], id="seeds_negative"),
               pytest.param("schemes", ["NO_CACHE", "NO_CACHE"], id="schemes_dup"),
               pytest.param("cache_fraction", 0.5, id="swept_fixed")]
              + [pytest.param(f, v, id=f) for f, v in UNRUNNABLE]
-             + [pytest.param(f, v, id=i) for f, v, i in MISTYPED + RETIRED])
+             + [pytest.param(f, v, id=i) for f, v, i in MISTYPED + RETIRED + OVERSIZED])
 
 
 def tiny_spec_dict(**overrides):

@@ -14,7 +14,7 @@ from cachenet.netmodel import (
 )
 from cachenet.optimizer import (
     _EPS,
-    _gain_column,
+    _gains,
     ORIGIN,
     Instance,
     InstanceTooLargeError,
@@ -276,11 +276,11 @@ def rescan_greedy(instance):
     curdist = nearest_copy(x, instance)
     pool = float(instance.c_sum)
     best_router, best_gain = np.zeros(m, dtype=int), np.zeros(m)
-    saved = np.empty((n, n))
+    saved = np.empty((1, n, n))
     rescore = range(m)
     while True:
         for k in rescore:
-            gain = _gain_column(qs[:, k], curdist[:, k], hop, saved)
+            gain = _gains(qs.T[k:k + 1, None], curdist[:, k][None, :, None], hop, saved)[0, 0]
             gain[x[:, k]] = -np.inf
             best_router[k] = np.argmax(gain)
             best_gain[k] = gain[best_router[k]]
@@ -304,6 +304,27 @@ def rescan_greedy(instance):
 def integer_rates(inst):
     """The instance with whole-number rates, so every gain is exact and ties are common."""
     return Instance(inst.topology, inst.catalog, DemandMatrix(np.floor(inst.demand.rates)), inst.c_sum)
+
+
+class TestGainKernel:
+    def test_matches_one_object_products(self):
+        """Every object's gains equal the one-object product qs[:, k] @ saved
+        bit for bit: for a batch with its own distances per object, for one
+        distance row shared by every object, and for a one-column view."""
+        rng = np.random.default_rng(30)
+        for trial in range(100):
+            n, m = int(rng.integers(2, 70)), int(rng.integers(1, 60))
+            hop = rng.integers(0, 7, (n, n)).astype(float)
+            qs = rng.random((n, m)) * 30 + 0.3
+            dist = rng.integers(0, 9, (m, n)).astype(float)
+            saved = np.empty((m, n, n))
+            ref = np.array([qs[:, k] @ np.maximum(dist[k][:, None] - hop, 0.0) for k in range(m)])
+            shared = np.array([qs[:, k] @ np.maximum(dist[0][:, None] - hop, 0.0) for k in range(m)])
+            each_q, each_dist = qs.T[:, None, :], dist[:, :, None]
+            assert np.array_equal(_gains(each_q, each_dist, hop, saved)[:, 0], ref), trial
+            assert np.array_equal(_gains(each_q, each_dist[:1], hop, saved)[:, 0], shared), trial
+            k = int(rng.integers(0, m))
+            assert np.array_equal(_gains(each_q[k:k + 1], each_dist[k:k + 1], hop, saved)[0, 0], ref[k]), trial
 
 
 class TestGreedy:
@@ -452,6 +473,30 @@ def desk_instance():
 DESK_DIGEST = "ffb11f5f2e5976643d9d94a9f34c695fa4e27c1b3db6eaca19378631569b243b"
 DESK_COST = 36840.0  # greedy alone: 36882.0
 DESK_SWAPS = 26
+# solve on non-integer demand (smoothing 0.3), where a gain summed in another
+# order can differ in its last bits and change a pick; pinned before the gain
+# kernel priced several objects per call. A 2-D product for greedy's first
+# scores breaks three of them (24x80 at fraction 0.10 with seed 3, both size
+# ranges, and 64x200 with sizes 1..3 at fraction 0.02 with seed 3).
+# (n x m, max_size, fraction, request seed): (digest, cost, swaps)
+FRACTIONAL_PINS = {
+    ("24x80", 1, 0.02, 2): ("7ecfe556bb4f04f0c7f830c6c47ff676d8db7b1535e7cbbd7f50aa2378681adb", 60973.4, 1),
+    ("24x80", 1, 0.02, 3): ("b69a92a5f4e2186d52a8a6db0baac846247a48f7dd5a34fd0c1794fa60f5f605", 61091.3, 0),
+    ("24x80", 1, 0.1, 2): ("ebf6487e01727c34ec98359d4101fbc3a3c3ae2cdcab136279ba246ab5b86484", 27694.9, 22),
+    ("24x80", 1, 0.1, 3): ("c5dd0ef47604394b77ab282f3dee3859f86170e0ede2c1d2ff8a15696faf7b3f", 27724.900000000005, 28),
+    ("24x80", 3, 0.02, 2): ("6bf5c6e6e7b0ab085d7db97798104654b8aec036af52b7e96fc1a1675956908a", 145355.9, 0),
+    ("24x80", 3, 0.02, 3): ("8e9ef2a50e55a9bdf8b52c64439d7d8ee2efd227a10f63a5f9b275c1b36c61f4", 184883.90000000002, 0),
+    ("24x80", 3, 0.1, 2): ("b25da1d75cbb69cb79e7226013f2f9fba55e92b3e38d7dd5d7bacddf87281235", 71849.00000000001, 6),
+    ("24x80", 3, 0.1, 3): ("bc632153e20440b2f4bf040257c41242e8ce83fdd13cf3ca126205672f6bd61a", 97102.90000000001, 0),
+    ("64x200", 1, 0.02, 2): ("9bf0acdcec0accf0238612891b9a79b3cbbfd826a04b3235b2b4ce8b8ada65de", 49469.399999999994, 2),
+    ("64x200", 1, 0.02, 3): ("a6d78f18b2e35cf831e328fc8d026924cc6eacdf70c4a34053c78fc703694046", 49535.59999999999, 1),
+    ("64x200", 1, 0.1, 2): ("a1ee2444eb88b342ead5d1453bf4c7f2e0a0ba8775d704c90091ffee31b06ccf", 26473.4, 64),
+    ("64x200", 1, 0.1, 3): ("d466aaed55b911eec0d33b8cfba25d65e2ae56586992c74c3ae2061a13e2c933", 26613.600000000002, 53),
+    ("64x200", 3, 0.02, 2): ("c22968ee25705d163000fa2661c9eaece0e818e8f00da3fa18b494f9ab13f040", 137502.0, 0),
+    ("64x200", 3, 0.02, 3): ("27515e4cb8831425ecbef39af22410da714440ec22f074d6c191db522db728de", 159108.09999999998, 0),
+    ("64x200", 3, 0.1, 2): ("849495b7f31d4c5e76c1df3d06389a5a0c9b2948d311215cdffa39b8f0c7d7e2", 67986.7, 22),
+    ("64x200", 3, 0.1, 3): ("97d711a4cfa4b353b981e32c3c9914c222923e33f0e2cfb385d9c4927a5c5e3a", 79504.3, 19),
+}
 
 
 class TestLocalSearch:
@@ -567,3 +612,14 @@ class TestSolvePipeline:
         assert placement_digest(result.placement) == DESK_DIGEST
         assert result.cost == DESK_COST
         assert result.diagnostics["swaps"] == DESK_SWAPS
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    @pytest.mark.parametrize("fraction", [0.02, 0.1])
+    @pytest.mark.parametrize("max_size", [1, 3], ids=["unit_sizes", "sizes_1_2_3"])
+    @pytest.mark.parametrize("n,m,topo_seed", [(24, 80, 1), (64, 200, 5)], ids=["24x80", "64x200"])
+    def test_fractional_demand_pinned(self, n, m, topo_seed, max_size, fraction, seed):
+        result = solve(telemetry_instance(n, m, topo_seed, fraction, 0.3, max_size, seed))
+        digest, cost, swaps = FRACTIONAL_PINS[f"{n}x{m}", max_size, fraction, seed]
+        assert placement_digest(result.placement) == digest
+        assert result.cost == cost
+        assert result.diagnostics["swaps"] == swaps

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cachenet import simnet
+from cachenet import optimizer, simnet
 from cachenet.netmodel import (
     Catalog,
     DemandMatrix,
@@ -23,6 +23,7 @@ from cachenet.optimizer import (
     average_hops,
     evaluate_objective,
     nearest_copy,
+    solve,
 )
 from cachenet.simnet import (
     Cache,
@@ -418,6 +419,40 @@ class TestNearestSupplier:
                         assert _nearest_supplier(state, i, k) == (supplier[i, k], dist[i, k])
 
 
+class TestNearestCopyChunk:
+    @staticmethod
+    def placements():
+        """(instance, x): 512x800 RANDOM_STATIC cells, a solved 64x200
+        placement, and an empty and a one-object-everywhere placement at
+        origin penalties 0 and 3."""
+        for fraction in (0.05, 0.10):
+            config = SimConfig(Scheme.RANDOM_STATIC, nodes=512, objects=800, cache_fraction=fraction, seed=1)
+            inst = build_instance(config)
+            state = simnet._initial_state(config, inst, np.random.default_rng(simnet.seed_streams(config)[2]))
+            yield inst, state.placement.x
+        inst = build_instance(SimConfig(Scheme.OPTIMIZED, nodes=64, objects=200, cache_fraction=0.1, seed=2))
+        yield inst, solve(inst).placement.x
+        for penalty in (0, 3):
+            topo = replace(inst.topology, origin_penalty=penalty)
+            held = Instance(topo, inst.catalog, inst.demand, inst.c_sum)
+            x = np.random.default_rng(penalty).random((64, 200)) < 0.05
+            x[:, 7] = True
+            yield held, np.zeros((64, 200), dtype=bool)
+            yield held, x
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 40], ids=["one_object", "whole_catalog"])
+    def test_chunk_leaves_result(self, monkeypatch, chunk):
+        """The chunk only bounds memory: one object per chunk or the whole
+        catalog in one gives the default's distances and suppliers."""
+        cases = [(inst, x, nearest_copy(x, inst, supplier=True)) for inst, x in self.placements()]
+        monkeypatch.setattr(optimizer, "_CHUNK", chunk)
+        for inst, x, (dist, supplier) in cases:
+            got_dist, got_supplier = nearest_copy(x, inst, supplier=True)
+            assert np.array_equal(got_dist, dist)
+            assert np.array_equal(got_supplier, supplier)
+            assert np.array_equal(nearest_copy(x, inst), dist)
+
+
 class TestApplyPlacement:
     def test_empty_placement_empties_caches(self):
         inst = path_instance(3, 2, c_sum=6.0)
@@ -587,6 +622,18 @@ class TestRunEpoch:
     def test_zero_requests_rejected_by_config(self):
         with pytest.raises(InvalidParameterError):
             SimConfig(Scheme.NO_CACHE, requests_per_epoch=0)
+
+    @pytest.mark.parametrize("field,value", [("nodes", 200_000), ("objects", 10**8), ("requests_per_epoch", 10**12)])
+    def test_oversized_cell_rejected_by_config(self, field, value):
+        """Rejected from its parameters alone, naming the term that breaks the bound."""
+        with pytest.raises(InvalidParameterError, match=field):
+            SimConfig(Scheme.LCE_LFU, **{field: value})
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_largest_run_cells_fit(self, scheme):
+        """The largest cells the tests, demos and benchmark run stay within the bound."""
+        SimConfig(scheme, nodes=512, objects=800, requests_per_epoch=20_000, cache_fraction=0.1)
+        SimConfig(scheme, nodes=128, objects=800, requests_per_epoch=30_000, cache_fraction=0.1)
 
 
 class TestRunSimulation:

@@ -312,8 +312,8 @@ def greedy_solve(instance: Instance) -> SolveResult:
     sizes = instance.catalog.sizes
     size = sizes.tolist()
     each_q = (instance.demand.rates * sizes[None, :]).T[:, None, :]  # see _gains
-    x = np.zeros((m, n), dtype=bool)  # x[k, j]: object-major, so each pick works on contiguous rows
-    curdist = np.repeat(dorg[None, :, None], m, axis=0)  # curdist[k, :, 0]
+    x = np.zeros((n, m), dtype=bool)
+    curdist = np.repeat(dorg[None, :, None], m, axis=0)  # curdist[k, :, 0]: object-major, so a pick updates one row
     saved = np.empty((1, n, n))
     first = _gains(each_q, curdist[:1], hop, saved)  # every object starts from the origin's distances
     heap = [_greedy_entry(first[k, 0], size[k], k) for k in range(m)]
@@ -327,14 +327,14 @@ def greedy_solve(instance: Instance) -> SolveResult:
             continue
         if -neg_gain <= _EPS:
             break
-        x[k, j] = True
+        x[j, k] = True
         pool -= size[k]
         np.minimum(curdist[k, :, 0], hop[j], out=curdist[k, :, 0])  # hop is symmetric
         # a holder's gain is exactly 0, so it is the best copy only when no
         # copy gains, and then the entry is never picked: no mask needed
         heapq.heapreplace(heap, _greedy_entry(_gains(each_q[k:k + 1], curdist[k:k + 1], hop, saved)[0, 0], size[k], k))
-    x = np.ascontiguousarray(x.T)
     out = Placement(x, _budgets_from_usage(x, sizes, instance.c_sum))
+    # in C order: _traffic's sum adds in memory order
     return SolveResult(out, _traffic(np.ascontiguousarray(curdist[:, :, 0].T), instance),
                        {"method": "greedy", "iterations": int(x.sum())})
 

@@ -31,7 +31,7 @@ pipeline = solve(tiny)
 print(f"tiny instance (4 routers, 5 objects, budget 4):")
 print(f"  exhaustive optimum cost: {exact.cost:.4f}")
 print(f"  greedy + local search:   {pipeline.cost:.4f}")
-print(f"  feasible: {check_feasibility(pipeline.placement, tiny).ok}")
+print(f"  feasible: {not check_feasibility(pipeline.placement, tiny)}")
 
 # full-scale instance
 topo = generate_power_law_topology(64, 2, seed=7)

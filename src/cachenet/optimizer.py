@@ -25,7 +25,6 @@ __all__ = [
     "Placement",
     "Instance",
     "SolveResult",
-    "FeasibilityReport",
     "InstanceTooLargeError",
     "nearest_copy",
     "evaluate_objective",
@@ -95,18 +94,6 @@ class Instance:
         return self.catalog.object_count
 
 
-@dataclass
-class Violation:
-    constraint: int  # index into the four-constraint list
-    detail: str
-
-
-@dataclass
-class FeasibilityReport:
-    ok: bool
-    violations: list = field(default_factory=list)
-
-
 @dataclass(eq=False)
 class SolveResult:
     placement: Placement
@@ -114,30 +101,20 @@ class SolveResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def nearest_copy(x: np.ndarray, instance: Instance, supplier: bool = False):
+def nearest_copy(x: np.ndarray, instance: Instance) -> np.ndarray:
     """dist[i, k] = hops from router i to the nearest copy of object k in ``x``,
     the origin included.
-
-    With ``supplier=True`` also returns supplier[i, k], the router that
-    serves it or ORIGIN. A router beats the origin at equal distance, and
-    the lowest router index wins among equal routers.
 
     The objects with copies go a chunk at a time, most copies first: each
     chunk gathers a table of its objects' holder rows, short rows padded by
     repeating their last copy, and reduces it to one contiguous row per object.
     """
     n, m = x.shape
-    # with a supplier, key = hops * base + router orders by distance, then
-    # router; the origin is router n, so it loses every tie
-    base = n + 1 if supplier else 1
     hop = instance.topology.hop_matrix  # symmetric: gather holder rows, faster than columns
-    origin = instance.topology.origin_distances * base + (n if supplier else 0)
-    dtype = np.min_scalar_type(max((int(hop.max()) + 1) * base - 1, int(origin.max())))  # smaller rows gather faster
-    key, origin = hop.astype(dtype), origin.astype(dtype)
-    if supplier:
-        key *= base
-        key += np.arange(n, dtype=dtype)[:, None]
-    best = np.empty((m, n), dtype=dtype)  # best[k] = object k's key row
+    origin = instance.topology.origin_distances
+    dtype = np.min_scalar_type(max(int(hop.max()), int(origin.max())))  # smaller rows gather faster
+    hop, origin = hop.astype(dtype), origin.astype(dtype)
+    best = np.empty((m, n), dtype=dtype)  # best[k] = object k's distance row
     best[:] = origin
     obj, router = np.nonzero(x.T)  # copies by object, then router
     counts = np.bincount(obj, minlength=m)
@@ -149,13 +126,9 @@ def nearest_copy(x: np.ndarray, instance: Instance, supplier: bool = False):
         width = int(counts[order[a]])
         ks = order[a:a + max(1, rows // width)]
         table = first[ks, None] + np.minimum(np.arange(width), counts[ks, None] - 1)
-        best[ks] = np.minimum(key[router[table]].min(axis=1), origin)
+        best[ks] = np.minimum(hop[router[table]].min(axis=1), origin)
         a += ks.size
-    if not supplier:
-        return best.T.astype(float, order="C")
-    dist, sup = np.divmod(best.T.astype(int, order="C"), base)
-    sup[sup == n] = ORIGIN
-    return dist.astype(float), sup
+    return best.T.astype(float, order="C")
 
 
 def evaluate_objective(supplier: np.ndarray, instance: Instance) -> float:
@@ -186,24 +159,24 @@ def average_hops(cost: float, instance: Instance) -> float:
     return cost / total
 
 
-def check_feasibility(placement: Placement, instance: Instance) -> FeasibilityReport:
-    """Verify the capacity (3) and conserved-pool (4) constraints.
+def check_feasibility(placement: Placement, instance: Instance) -> list[str]:
+    """Messages for the capacity (3) and conserved-pool (4) constraints that
+    ``placement`` breaks, overloaded routers in router order; empty when it
+    is feasible.
 
     The assignment constraints (1, 2) are satisfiable for any placement
     because the origin can always supply, so they never appear as
     violations.
     """
-    violations = []
-    sizes = instance.catalog.sizes
-    used = placement.x @ sizes
-    for i in np.flatnonzero(used > placement.budgets + 1e-9).tolist():
-        violations.append(Violation(3, f"node {i}: resident size {used[i]} exceeds budget {placement.budgets[i]}"))
+    used = placement.x @ instance.catalog.sizes
+    problems = [f"node {i}: resident size {used[i]} exceeds budget {placement.budgets[i]}"
+                for i in np.flatnonzero(used > placement.budgets + 1e-9).tolist()]
     total = float(placement.budgets.sum())
     if abs(total - instance.c_sum) > 1e-9:
-        violations.append(Violation(4, f"budgets sum to {total}, pool is {instance.c_sum}"))
+        problems.append(f"budgets sum to {total}, pool is {instance.c_sum}")
     if np.any(placement.budgets < -1e-9):
-        violations.append(Violation(4, "negative budget"))
-    return FeasibilityReport(not violations, violations)
+        problems.append("negative budget")
+    return problems
 
 
 def _budgets_from_usage(x: np.ndarray, sizes: np.ndarray, c_sum: float) -> np.ndarray:
@@ -269,7 +242,7 @@ def exact_solve(instance: Instance) -> SolveResult:
                     best_bits = bits
     x = np.array(best_bits, dtype=bool).reshape(n, m)
     placement = Placement(x, _budgets_from_usage(x, instance.catalog.sizes, c_sum))
-    return SolveResult(placement, best_cost, {"method": "exact"})
+    return SolveResult(placement, best_cost)
 
 
 def _gains(qs: np.ndarray, dist: np.ndarray, hop: np.ndarray, saved: np.ndarray) -> np.ndarray:
@@ -335,8 +308,7 @@ def greedy_solve(instance: Instance) -> SolveResult:
         heapq.heapreplace(heap, _greedy_entry(_gains(each_q[k:k + 1], curdist[k:k + 1], hop, saved)[0, 0], size[k], k))
     out = Placement(x, _budgets_from_usage(x, sizes, instance.c_sum))
     # in C order: _traffic's sum adds in memory order
-    return SolveResult(out, _traffic(np.ascontiguousarray(curdist[:, :, 0].T), instance),
-                       {"method": "greedy", "iterations": int(x.sum())})
+    return SolveResult(out, _traffic(np.ascontiguousarray(curdist[:, :, 0].T), instance))
 
 
 def _runner_up(x: np.ndarray, hop: np.ndarray, dorg: np.ndarray):
@@ -459,19 +431,14 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
         reprice(slice(lo, hi + 1, max(1, hi - lo)))  # columns k and k2 only
         applied += 1
     out = Placement(x, _budgets_from_usage(x, sizes, instance.c_sum))
-    return SolveResult(out, _traffic(curdist, instance), {"method": "local_search", "iterations": applied})
+    return SolveResult(out, _traffic(curdist, instance), {"iterations": applied})
 
 
 def solve(instance: Instance) -> SolveResult:
     """Production pipeline: greedy construction plus swap local search."""
     greedy = greedy_solve(instance)
     refined = local_search(instance, greedy.placement, 10 * instance.n * instance.m)
-    diagnostics = {
-        "method": "greedy+local_search",
-        "greedy_cost": greedy.cost,
-        "greedy_iterations": greedy.diagnostics["iterations"],
-        "swaps": refined.diagnostics["iterations"],
-    }
+    diagnostics = {"greedy_cost": greedy.cost, "swaps": refined.diagnostics["iterations"]}
     return SolveResult(refined.placement, refined.cost, diagnostics)
 
 

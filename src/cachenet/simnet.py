@@ -288,10 +288,13 @@ class NetworkState:
 
 
 def apply_placement(state: NetworkState, placement: Placement) -> None:
-    """Install a controller placement in place of the previous one; keep telemetry."""
-    report = check_feasibility(placement, state.instance)
-    if not report.ok:
-        raise InvalidParameterError(f"infeasible placement: {report.violations}")
+    """Install a placement in place of the previous one; keep telemetry.
+
+    The one feasibility check of every placement that serves: an infeasible
+    one raises and installs nothing."""
+    problems = check_feasibility(placement, state.instance)
+    if problems:
+        raise InvalidParameterError("infeasible placement: " + "; ".join(problems))
     state.placement = placement.copy()
     state.placement_dist = nearest_copy(placement.x, state.instance)
 
@@ -449,7 +452,7 @@ def run_simulation(config: SimConfig) -> MetricsReport:
         epoch_metrics.append(run_epoch(config, state, req_rng))
         if config.scheme is Scheme.OPTIMIZED and epoch < config.epochs - 1:
             decision = analytics.controller_epoch(state.telemetry, instance.topology, instance.catalog,
-                                                  float(config.c_sum), config.smoothing)
+                                                  instance.c_sum, config.smoothing)
             apply_placement(state, decision.placement)
 
     measured = epoch_metrics[config.warmup_epochs:]

@@ -178,7 +178,7 @@ def test_criterion_6_constraint_suite():
     rng = np.random.default_rng(99)
     for _ in range(10_000):
         inst = random_instance(rng)
-        assert check_feasibility(solve(inst).placement, inst).ok
+        assert check_feasibility(solve(inst).placement, inst) == []
     # cache transition fuzz: capacity invariant after every request
     fuzz = np.random.default_rng(100)
     sizes = fuzz.integers(1, 4, size=50).astype(float)

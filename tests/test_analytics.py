@@ -8,7 +8,7 @@ from cachenet.analytics import (
     controller_epoch,
     estimate_demand,
 )
-from cachenet.netmodel import Catalog, DemandMatrix, zipf_popularity
+from cachenet.netmodel import Catalog, DemandMatrix, InvalidParameterError, zipf_popularity
 from cachenet.optimizer import (
     Instance,
     Placement,
@@ -18,7 +18,7 @@ from cachenet.optimizer import (
     placement_cost,
     solve,
 )
-from cachenet.simnet import TelemetryLog
+from cachenet.simnet import NetworkState, Scheme, SimConfig, TelemetryLog, apply_placement, run_simulation
 from util import random_instance
 
 
@@ -127,7 +127,7 @@ class TestControllerEpoch:
             inst = random_instance(rng, c_max=4)
             log = self.sampled_log(inst, 2000, seed=4)
             decision = controller_epoch(log, inst.topology, inst.catalog, inst.c_sum, 1.0)
-            assert check_feasibility(decision.placement, inst).ok
+            assert check_feasibility(decision.placement, inst) == []
             est_inst = Instance(inst.topology, inst.catalog,
                                 DemandMatrix(estimate_demand(log, 1.0)), inst.c_sum)
             empty = Placement(np.zeros((inst.n, inst.m), dtype=bool), np.r_[inst.c_sum, np.zeros(inst.n - 1)])
@@ -147,11 +147,30 @@ class TestControllerEpoch:
         assert np.array_equal(decision.placement.x, direct.placement.x)
 
     def test_infeasible_solution_raises(self, monkeypatch):
-        # an explicit check, so it still runs under python -O
+        """An infeasible decision never serves: the install rejects it, in
+        words, and keeps the placement it had. The check is explicit, so it
+        still runs under python -O."""
+        def overfull(instance):
+            return SolveResult(Placement(np.ones((instance.n, instance.m), dtype=bool), np.zeros(instance.n)), 0.0)
+
+        monkeypatch.setattr(analytics, "solve", overfull)
+        config = SimConfig(Scheme.OPTIMIZED, nodes=4, objects=5, cache_fraction=0.2, requests_per_epoch=200,
+                           epochs=3, warmup_epochs=1)
+        with pytest.raises(InvalidParameterError, match=r"^infeasible placement: node 0: resident size 5\.0 exceeds"):
+            run_simulation(config)
+
         rng = np.random.default_rng(37)
         inst = random_instance(rng, c_max=3)
-        overfull = Placement(np.ones((inst.n, inst.m), dtype=bool), np.zeros(inst.n))
-        monkeypatch.setattr(analytics, "solve", lambda instance: SolveResult(overfull, 0.0, {}))
+        state = NetworkState(inst)
+        empty = Placement(np.zeros((inst.n, inst.m), dtype=bool), np.r_[inst.c_sum, np.zeros(inst.n - 1)])
+        apply_placement(state, empty)
+        installed, dist = state.placement, state.placement_dist
         log = log_with_counts(np.ones((inst.n, inst.m), dtype=np.int64))
-        with pytest.raises(RuntimeError, match="infeasible placement"):
-            controller_epoch(log, inst.topology, inst.catalog, inst.c_sum, 1.0)
+        decision = controller_epoch(log, inst.topology, inst.catalog, inst.c_sum, 1.0)
+        problems = [f"node {i}: resident size {float(inst.m)} exceeds budget 0.0" for i in range(inst.n)]
+        if inst.c_sum:
+            problems.append(f"budgets sum to 0.0, pool is {inst.c_sum}")
+        with pytest.raises(InvalidParameterError) as raised:
+            apply_placement(state, decision.placement)
+        assert str(raised.value) == "infeasible placement: " + "; ".join(problems)
+        assert state.placement is installed and state.placement_dist is dist

@@ -164,7 +164,7 @@ class TestFeasibility:
         topo = path_topology(3)
         inst = make_instance(topo, 2, 0.0, np.ones((3, 2)), 6.0)
         placement = Placement(np.zeros((3, 2), dtype=bool), np.full(3, 2.0))
-        assert check_feasibility(placement, inst).ok
+        assert check_feasibility(placement, inst) == []
 
     def test_capacity_violation_names_node(self):
         topo = path_topology(3)
@@ -172,18 +172,13 @@ class TestFeasibility:
         x = np.zeros((3, 2), dtype=bool)
         x[1] = True  # 2 units at node 1, budget 1
         placement = Placement(x, np.array([5.0, 1.0, 0.0]))
-        report = check_feasibility(placement, inst)
-        assert not report.ok
-        assert report.violations[0].constraint == 3
-        assert "node 1" in report.violations[0].detail
+        assert check_feasibility(placement, inst) == ["node 1: resident size 2.0 exceeds budget 1.0"]
 
     def test_pool_violation(self):
         topo = path_topology(3)
         inst = make_instance(topo, 2, 0.0, np.ones((3, 2)), 6.0)
         placement = Placement(np.zeros((3, 2), dtype=bool), np.array([2.0, 2.0, 1.0]))
-        report = check_feasibility(placement, inst)
-        assert not report.ok
-        assert report.violations[0].constraint == 4
+        assert check_feasibility(placement, inst) == ["budgets sum to 5.0, pool is 6.0"]
 
 
 class TestExactSolve:
@@ -233,7 +228,7 @@ class TestExactSolve:
         for _ in range(10):
             inst = random_instance(rng)
             result = exact_solve(inst)
-            assert check_feasibility(result.placement, inst).ok
+            assert check_feasibility(result.placement, inst) == []
 
 
 def naive_greedy(instance):
@@ -397,7 +392,7 @@ class TestGreedy:
         rng = np.random.default_rng(11)
         for _ in range(50):
             inst = random_instance(rng, unit_sizes=False)
-            assert check_feasibility(greedy_solve(inst).placement, inst).ok
+            assert check_feasibility(greedy_solve(inst).placement, inst) == []
 
 
 def naive_local_search(instance, x, max_iters):
@@ -576,7 +571,7 @@ class TestLocalSearch:
             gr = greedy_solve(inst)
             refined = local_search(inst, gr.placement, 10 * inst.n * inst.m)
             assert refined.cost <= gr.cost + 1e-9
-            assert check_feasibility(refined.placement, inst).ok
+            assert check_feasibility(refined.placement, inst) == []
 
 
 class TestSolvePipeline:

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -40,7 +41,7 @@ from cachenet.simnet import (
     run_epoch,
     run_simulation,
 )
-from util import nearest_assignment, random_instance, reference_next_hop
+from util import nearest_assignment, nearest_supplier, random_instance, reference_next_hop
 
 
 def path_instance(n, m, alpha=0.5, origin_attach=0, penalty=3, c_sum=0.0):
@@ -376,7 +377,8 @@ class TestAgainstReferenceLCE:
 
 class TestNearestSupplier:
     def test_matches_kernel(self):
-        """The per-request lookup and the vectorized kernel share one contract."""
+        """The per-request lookup picks the brute-force oracle's supplier at
+        the vectorized kernel's distance."""
         rng = np.random.default_rng(8)
         router_ties = origin_ties = 0
         for trial in range(200):
@@ -390,7 +392,7 @@ class TestNearestSupplier:
             state = NetworkState(inst, budgets, Policy.LRU)
             for i, k in zip(*np.nonzero(x)):
                 state.holders[k].add(int(i))
-            dist, supplier = nearest_copy(x, inst, supplier=True)
+            dist, supplier = nearest_copy(x, inst), nearest_supplier(x, inst)
             for i in range(inst.n):
                 for k in range(inst.m):
                     assert _nearest_supplier(state, i, k) == (supplier[i, k], dist[i, k])
@@ -413,7 +415,7 @@ class TestNearestSupplier:
                 state = NetworkState(inst, budgets, Policy.LRU)
                 for i, k in zip(*np.nonzero(x)):
                     state.holders[k].add(int(i))
-                dist, supplier = nearest_copy(x, inst, supplier=True)
+                dist, supplier = nearest_copy(x, inst), nearest_supplier(x, inst)
                 for i in range(inst.n):
                     for k in range(inst.m):
                         assert _nearest_supplier(state, i, k) == (supplier[i, k], dist[i, k])
@@ -443,13 +445,10 @@ class TestNearestCopyChunk:
     @pytest.mark.parametrize("chunk", [1, 1 << 40], ids=["one_object", "whole_catalog"])
     def test_chunk_leaves_result(self, monkeypatch, chunk):
         """The chunk only bounds memory: one object per chunk or the whole
-        catalog in one gives the default's distances and suppliers."""
-        cases = [(inst, x, nearest_copy(x, inst, supplier=True)) for inst, x in self.placements()]
+        catalog in one gives the default's distances."""
+        cases = [(inst, x, nearest_copy(x, inst)) for inst, x in self.placements()]
         monkeypatch.setattr(optimizer, "_CHUNK", chunk)
-        for inst, x, (dist, supplier) in cases:
-            got_dist, got_supplier = nearest_copy(x, inst, supplier=True)
-            assert np.array_equal(got_dist, dist)
-            assert np.array_equal(got_supplier, supplier)
+        for inst, x, dist in cases:
             assert np.array_equal(nearest_copy(x, inst), dist)
 
 
@@ -485,6 +484,26 @@ class TestApplyPlacement:
         with pytest.raises(InvalidParameterError):
             apply_placement(state, Placement(x, np.array([1.0, 0.0, 0.0])))
         assert state.placement is None
+
+    def test_one_feasibility_check_per_install(self, monkeypatch):
+        """Each placement that serves is checked once, when it is installed:
+        the warm-up placement and one decision after every epoch but the last."""
+        calls = []
+        original = optimizer.check_feasibility
+
+        def counted(placement, instance):
+            calls.append(placement)
+            return original(placement, instance)
+
+        holders = [(mod, name) for key, mod in list(sys.modules.items()) if key.split(".")[0] == "cachenet"
+                   for name, value in vars(mod).items() if value is original]
+        assert holders
+        for mod, name in holders:
+            monkeypatch.setattr(mod, name, counted)
+        config = SimConfig(Scheme.OPTIMIZED, nodes=6, objects=8, cache_fraction=0.25, requests_per_epoch=300,
+                           epochs=5, warmup_epochs=1, seed=3)
+        run_simulation(config)
+        assert len(calls) == config.epochs
 
     def test_record_is_the_only_residency(self):
         inst = path_instance(3, 2, c_sum=3.0)

@@ -13,7 +13,7 @@ from cachenet.netmodel import (
     all_pairs_hops,
     zipf_popularity,
 )
-from cachenet.optimizer import Instance, nearest_copy
+from cachenet.optimizer import ORIGIN, Instance
 
 
 def random_connected_edges(rng, n):
@@ -50,9 +50,28 @@ def random_instance(rng, n_max=4, m_max=5, c_max=4, unit_sizes=True, max_size=2)
     return Instance(topo, catalog, demand, c_sum)
 
 
+def nearest_supplier(x, instance):
+    """Brute-force supplier matrix of membership ``x``: supplier[i, k] is
+    router i's nearest holder of object k, the lowest index among equals, or
+    ORIGIN unless that holder is at most as far as the origin."""
+    n, m = x.shape
+    hop = instance.topology.hop_matrix.tolist()
+    dorg = instance.topology.origin_distances.tolist()
+    held = x.tolist()
+    supplier = np.full((n, m), ORIGIN)
+    for i in range(n):
+        for k in range(m):
+            holders = [j for j in range(n) if held[j][k]]
+            if holders:
+                j = min(holders, key=hop[i].__getitem__)  # the first, so the lowest index, of equals
+                if hop[i][j] <= dorg[i]:
+                    supplier[i, k] = j
+    return supplier
+
+
 def nearest_assignment(placement, instance):
-    """The nearest-copy kernel's supplier matrix: supplier[i, k] serves object k to router i."""
-    return nearest_copy(placement.x, instance, supplier=True)[1]
+    """The oracle's supplier matrix for ``placement``: supplier[i, k] serves object k to router i."""
+    return nearest_supplier(placement.x, instance)
 
 
 def neighbour_lists(node_count, edges):

@@ -7,7 +7,7 @@ catalog, and the per-node per-object request-rate matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +59,11 @@ class Topology:
             raise InvalidParameterError("origin_penalty must be nonnegative")
         if not (0 <= self.origin_attach < self.node_count):
             raise InvalidParameterError("origin_attach out of range")
+        hop = np.asarray(self.hop_matrix)  # symmetric, as nearest_copy reads row j as distances to j
+        if (hop.shape != (self.node_count,) * 2 or hop.dtype.kind not in "iu" or not np.array_equal(hop, hop.T)
+                or not np.array_equal(hop == 0, np.eye(self.node_count, dtype=bool)) or hop.min() < 0):
+            raise InvalidParameterError("hop_matrix must be a symmetric integer node_count x node_count "
+                                        "matrix, zero on the diagonal and >= 1 elsewhere")
 
     @property
     def origin_distances(self) -> np.ndarray:
@@ -85,8 +90,10 @@ class Catalog:
     def __post_init__(self):
         if self.object_count < 1:
             raise InvalidParameterError("object_count must be positive")
-        if np.any(self.sizes <= 0):
-            raise InvalidParameterError("all object sizes must be positive")
+        if not np.all(np.isfinite(self.sizes) & (self.sizes > 0)):
+            raise InvalidParameterError("all object sizes must be positive and finite")
+        if not np.all(np.isfinite(self.popularity) & (self.popularity >= 0)):
+            raise InvalidParameterError("popularity must be finite and nonnegative")
         if abs(float(self.popularity.sum()) - 1.0) > 1e-9:
             raise InvalidParameterError("popularity must sum to 1")
         if np.any(np.diff(self.popularity) > 1e-12):
@@ -105,8 +112,8 @@ class DemandMatrix:
     rates: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.rates < 0):
-            raise InvalidParameterError("rates must be nonnegative")
+        if not np.all(np.isfinite(self.rates) & (self.rates >= 0)):
+            raise InvalidParameterError("rates must be finite and nonnegative")
         if not np.any(self.rates > 0):
             raise InvalidParameterError("at least one rate must be positive")
 
@@ -194,8 +201,8 @@ def generate_power_law_topology(n: int, m_attach: int, seed: int) -> Topology:
     expected = (seed_size - 1) + (n - seed_size) * m_attach
     if len(edges) != expected:
         raise RuntimeError(f"attachment rule fixes the edge count at {expected}, built {len(edges)}")
-    topology = Topology(n, frozenset(edges), all_pairs_hops(n, edges), 0)
-    return replace(topology, origin_attach=int(np.argmax(topology.degrees())))  # lowest index on ties
+    origin_attach = int(np.argmax(np.bincount(stubs, minlength=n)))  # stubs count degrees; lowest index on ties
+    return Topology(n, frozenset(edges), all_pairs_hops(n, edges), origin_attach)
 
 
 def zipf_popularity(m: int, alpha: float) -> np.ndarray:

@@ -42,12 +42,12 @@ ORIGIN = -1
 
 _EPS = 1e-12
 
-# the whole-catalog kernels take the objects a chunk at a time, so that each
-# temporary stays within about this many entries (256 KB of float64), or one
-# object's share where that is larger (two objects' for a swap's gains):
-# nearest_copy's holder table (objects x copies x n), the gain kernel's buffer
-# (objects x n x n), and the initial pricing's runner-up table (objects x
-# copies x n) and moved requesters' price rows (moved requesters x n)
+# the swap search's initial pricing takes the objects a chunk at a time, so
+# that each temporary stays within about this many entries (256 KB of
+# float64), or one object's share where that is larger (two objects' for a
+# swap's gains): the gain kernel's buffer (objects x n x n), the runner-up
+# table (objects x copies x n) and moved requesters' price rows (moved
+# requesters x n)
 _CHUNK = 1 << 15
 
 
@@ -82,8 +82,8 @@ class Instance:
         m = self.catalog.object_count
         if self.demand.rates.shape != (n, m):
             raise ValueError("demand shape does not match topology/catalog")
-        if self.c_sum < 0:
-            raise ValueError("c_sum must be nonnegative")
+        if not (np.isfinite(self.c_sum) and self.c_sum >= 0):
+            raise ValueError("c_sum must be finite and nonnegative")
 
     @property
     def n(self) -> int:
@@ -105,29 +105,17 @@ def nearest_copy(x: np.ndarray, instance: Instance) -> np.ndarray:
     """dist[i, k] = hops from router i to the nearest copy of object k in ``x``,
     the origin included.
 
-    The objects with copies go a chunk at a time, most copies first: each
-    chunk gathers a table of its objects' holder rows, short rows padded by
-    repeating their last copy, and reduces it to one contiguous row per object.
+    One pass over the routers that hold copies: each lowers its objects'
+    distance rows to its own hop row, the rule greedy applies on each pick.
     """
-    n, m = x.shape
-    hop = instance.topology.hop_matrix  # symmetric: gather holder rows, faster than columns
+    hop = instance.topology.hop_matrix  # symmetric: row j is every router's distance to j
     origin = instance.topology.origin_distances
-    dtype = np.min_scalar_type(max(int(hop.max()), int(origin.max())))  # smaller rows gather faster
+    dtype = np.min_scalar_type(max(int(hop.max()), int(origin.max())))  # smaller rows go faster
     hop, origin = hop.astype(dtype), origin.astype(dtype)
-    best = np.empty((m, n), dtype=dtype)  # best[k] = object k's distance row
-    best[:] = origin
-    obj, router = np.nonzero(x.T)  # copies by object, then router
-    counts = np.bincount(obj, minlength=m)
-    first = np.cumsum(counts) - counts  # object k's copies are router[first[k]:first[k] + counts[k]]
-    order = np.argsort(-counts, kind="stable")[:np.count_nonzero(counts)]  # objects with copies, most first
-    rows = max(1, _CHUNK // n)
-    a = 0
-    while a < order.size:
-        width = int(counts[order[a]])
-        ks = order[a:a + max(1, rows // width)]
-        table = first[ks, None] + np.minimum(np.arange(width), counts[ks, None] - 1)
-        best[ks] = np.minimum(hop[router[table]].min(axis=1), origin)
-        a += ks.size
+    best = np.tile(origin, (x.shape[1], 1))  # best[k] = object k's distance row
+    for j in np.flatnonzero(x.any(axis=1)):
+        objs = np.flatnonzero(x[j])
+        best[objs] = np.minimum(best[objs], hop[j])
     return best.T.astype(float, order="C")
 
 

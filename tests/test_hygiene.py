@@ -33,6 +33,32 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def dead_private_names(sources: dict) -> list:
+    """(module, name) for each module-level ``_``-prefixed name that no
+    module in ``sources`` (name -> source) reads; dunder names are exempt."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                bound = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [(module, name) for name in bound
+                     if name.startswith("_") and not name.startswith("__") and name not in read]
+    return sorted(dead)
+
+
 def assert_lines(source: str) -> list:
     """Lines of ``assert`` statements, which ``python -O`` strips."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
@@ -47,6 +73,20 @@ def test_detector_finds_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_detector_finds_dead_private_name():
+    sources = {
+        "a.py": "_DEAD = 1\n_READ = 2\n__dunder__ = 3\ndef _dead_fn(): return _READ\nclass _Dead: pass\n",
+        "b.py": "import a\n_x, _y = a._ATTR, 0\nprint(_y)\n",
+    }
+    assert dead_private_names(sources) == [("a.py", "_DEAD"), ("a.py", "_Dead"), ("a.py", "_dead_fn"), ("b.py", "_x")]
+
+
+def test_no_dead_private_names():
+    """Every module-level private name in ``src/cachenet`` has a reader in ``src/``."""
+    sources = {p.name: p.read_text() for p in (ROOT / "src").rglob("*.py")}
+    assert dead_private_names(sources) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cachenet.netmodel import (
     Catalog,
+    DemandMatrix,
     DisconnectedGraphError,
     InvalidParameterError,
     Topology,
@@ -91,6 +92,41 @@ class TestTopologyGeneration:
         for u, v in topo.edges:
             assert u != v
             assert (v, u) not in topo.edges
+
+
+class TestConstructorChecks:
+    """Public constructors reject input that would run to impossible numbers."""
+
+    PATH3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+
+    @pytest.mark.parametrize("hop", [
+        [[0, -1, -2], [-1, 0, -1], [-2, -1, 0]],  # solved to a negative cost
+        [[0, 1], [1, 0]],  # 2 x 2 on 3 routers
+        [[0, 1, 2], [1, 0, 1], [1, 1, 0]],  # asymmetric
+        [[1, 1, 2], [1, 0, 1], [2, 1, 0]],  # nonzero diagonal
+        [[0, 0, 2], [0, 0, 1], [2, 1, 0]],  # two routers at distance 0
+        [[0.0, 1.5, 2.0], [1.5, 0.0, 1.0], [2.0, 1.0, 0.0]],  # not integers
+    ], ids=["negative", "shape", "asymmetric", "diagonal", "zero_off_diagonal", "float"])
+    def test_topology_rejects_hop_matrix(self, hop):
+        edges = frozenset({(0, 1), (1, 2)})
+        Topology(3, edges, np.array(self.PATH3), 0)  # the valid matrix passes
+        with pytest.raises(InvalidParameterError):
+            Topology(3, edges, np.array(hop), 0)
+
+    @pytest.mark.parametrize("sizes,popularity", [
+        ([np.nan, 1.0], [0.5, 0.5]),
+        ([np.inf, 1.0], [0.5, 0.5]),
+        ([1.0, 1.0], [np.nan, np.nan]),
+        ([1.0, 1.0], [1.5, -0.5]),
+    ], ids=["nan_size", "inf_size", "nan_popularity", "negative_popularity"])
+    def test_catalog_rejects(self, sizes, popularity):
+        with pytest.raises(InvalidParameterError):
+            Catalog(2, np.array(sizes), 1.0, np.array(popularity))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_demand_rejects_non_finite_rates(self, bad):
+        with pytest.raises(InvalidParameterError):
+            DemandMatrix(np.array([[bad, 1.0], [0.0, 1.0]]))
 
 
 class TestAllPairsHops:

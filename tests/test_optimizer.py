@@ -159,6 +159,13 @@ class TestObjective:
         assert average_hops(cost, inst) == pytest.approx((5 + 6) / 2)
 
 
+class TestInstanceChecks:
+    @pytest.mark.parametrize("c_sum", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_rejects_c_sum(self, c_sum):
+        with pytest.raises(ValueError):
+            make_instance(path_topology(3), 2, 0.0, np.ones((3, 2)), c_sum)
+
+
 class TestFeasibility:
     def test_empty_with_equal_split_ok(self):
         topo = path_topology(3)

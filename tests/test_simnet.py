@@ -421,7 +421,7 @@ class TestNearestSupplier:
                         assert _nearest_supplier(state, i, k) == (supplier[i, k], dist[i, k])
 
 
-class TestNearestCopyChunk:
+class TestNearestCopyReference:
     @staticmethod
     def placements():
         """(instance, x): 512x800 RANDOM_STATIC cells, a solved 64x200
@@ -442,14 +442,18 @@ class TestNearestCopyChunk:
             yield held, np.zeros((64, 200), dtype=bool)
             yield held, x
 
-    @pytest.mark.parametrize("chunk", [1, 1 << 40], ids=["one_object", "whole_catalog"])
-    def test_chunk_leaves_result(self, monkeypatch, chunk):
-        """The chunk only bounds memory: one object per chunk or the whole
-        catalog in one gives the default's distances."""
-        cases = [(inst, x, nearest_copy(x, inst)) for inst, x in self.placements()]
-        monkeypatch.setattr(optimizer, "_CHUNK", chunk)
-        for inst, x, dist in cases:
-            assert np.array_equal(nearest_copy(x, inst), dist)
+    def test_matches_per_object_reference(self):
+        """Object by object, the minimum of the holders' hop rows and the
+        origin row, or the origin row without copies."""
+        for inst, x in self.placements():
+            hop, origin = inst.topology.hop_matrix, inst.topology.origin_distances
+            expected = np.empty(x.shape)
+            for k in range(x.shape[1]):
+                holders = np.flatnonzero(x[:, k])
+                expected[:, k] = np.minimum(hop[holders].min(axis=0), origin) if holders.size else origin
+            dist = nearest_copy(x, inst)
+            assert dist.dtype == float and dist.flags.c_contiguous
+            assert np.array_equal(dist, expected)
 
 
 class TestApplyPlacement:

@@ -456,6 +456,17 @@ class TestNearestCopyReference:
             assert np.array_equal(dist, expected)
 
 
+class TestNearestCopyChunk:
+    @pytest.mark.parametrize("chunk", [1, 1 << 40], ids=["one_object", "whole_catalog"])
+    def test_chunk_leaves_result(self, monkeypatch, chunk):
+        """The chunk bounds only the swap search's pricing: one object per
+        chunk or the whole catalog in one gives the default's distances."""
+        cases = [(inst, x, nearest_copy(x, inst)) for inst, x in TestNearestCopyReference.placements()]
+        monkeypatch.setattr(optimizer, "_CHUNK", chunk)
+        for inst, x, dist in cases:
+            assert np.array_equal(nearest_copy(x, inst), dist)
+
+
 class TestApplyPlacement:
     def test_empty_placement_empties_caches(self):
         inst = path_instance(3, 2, c_sum=6.0)

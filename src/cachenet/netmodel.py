@@ -90,6 +90,8 @@ class Catalog:
     def __post_init__(self):
         if self.object_count < 1:
             raise InvalidParameterError("object_count must be positive")
+        if np.shape(self.sizes) != (self.object_count,) or np.shape(self.popularity) != (self.object_count,):
+            raise InvalidParameterError("sizes and popularity must each hold object_count entries")
         if not np.all(np.isfinite(self.sizes) & (self.sizes > 0)):
             raise InvalidParameterError("all object sizes must be positive and finite")
         if not np.all(np.isfinite(self.popularity) & (self.popularity >= 0)):
@@ -171,13 +173,13 @@ def shortest_path(next_hop: np.ndarray, source: int, target: int) -> list:
     return path
 
 
-def generate_power_law_topology(n: int, m_attach: int, seed: int) -> Topology:
+def generate_power_law_topology(n: int, m_attach: int, seed: int, origin_penalty: int = Topology.origin_penalty) -> Topology:
     """Seeded preferential-attachment graph over ``n`` routers.
 
     Starts from a path over max(2, m_attach) seed nodes; each later node
     attaches ``m_attach`` distinct edges, targets drawn proportionally to
-    current degree. The virtual origin attaches at the highest-degree
-    router (ties broken toward the lowest index).
+    current degree. The virtual origin attaches, ``origin_penalty`` hops
+    out, at the highest-degree router (ties broken toward the lowest index).
     """
     if m_attach < 1:
         raise InvalidParameterError("m_attach must be >= 1")
@@ -202,7 +204,7 @@ def generate_power_law_topology(n: int, m_attach: int, seed: int) -> Topology:
     if len(edges) != expected:
         raise RuntimeError(f"attachment rule fixes the edge count at {expected}, built {len(edges)}")
     origin_attach = int(np.argmax(np.bincount(stubs, minlength=n)))  # stubs count degrees; lowest index on ties
-    return Topology(n, frozenset(edges), all_pairs_hops(n, edges), origin_attach)
+    return Topology(n, frozenset(edges), all_pairs_hops(n, edges), origin_attach, origin_penalty)
 
 
 def zipf_popularity(m: int, alpha: float) -> np.ndarray:

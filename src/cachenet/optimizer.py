@@ -341,8 +341,8 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
     Dropping the copy at i moves only the requesters whose one nearest copy
     is i, to their runner-up, so every resident's loss and best same-object
     re-insertion gain follow from per-object state, and a whole pass is one
-    vector comparison against each object's best insertion gain. A swap
-    reprices only its two objects.
+    masked comparison of every resident's loss against the best insertion
+    gain that fits the room it frees. A swap reprices only its two objects.
     """
     n, m = instance.n, instance.m
     hop = instance.topology.hop_matrix.astype(float)
@@ -385,26 +385,22 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
 
     for start in range(0, m, step):
         reprice(slice(start, min(start + step, m)))
-    size_values = sorted(set(sizes.tolist()))  # not np.unique, which imports numpy.ma (about 1 MB)
-    of_size = [np.flatnonzero(sizes == s) for s in size_values]
+    by_size = np.argsort(sizes, kind="stable")
+    sorted_sizes = sizes[by_size]
     applied = 0
     while applied < max_iters:
         room = slack + sizes  # capacity once a copy of k is dropped
-        # other[k] = best insertion gain of an object that fits where k was:
-        # the top colmax of each size that fits. k itself may be that top,
-        # since then same >= colmax[k] (dropping a copy only raises gains)
-        top = [colmax[objs].max() for objs in of_size]
-        other = np.empty(m)
-        for s, objs in zip(size_values, of_size):
-            other[objs] = max((t for t, s2 in zip(top, size_values) if s2 <= slack + s + 1e-9), default=-np.inf)
-        rows, cols = np.nonzero(x)
-        same = np.where(sizes[cols] <= room[cols] + 1e-9, regain[rows, cols], -np.inf)
-        best = np.maximum(other[cols], same)
+        # other[k] = best insertion gain of an object no larger than room[k], -inf
+        # if none is (a start above the pool); k itself may be that best, since
+        # then same >= colmax[k] (dropping a copy only raises gains)
+        fits = np.searchsorted(sorted_sizes, room + 1e-9, side="right")
+        other = np.concatenate(([-np.inf], np.maximum.accumulate(colmax[by_size])))[fits]
+        same = np.where(sizes <= room + 1e-9, regain, -np.inf)
         # fl(g - loss) is monotone in g, so the best gain decides for every candidate
-        first = np.flatnonzero(best - loss[rows, cols] > _EPS)
+        first = np.flatnonzero(x & (np.maximum(other, same) - loss > _EPS))
         if not first.size:
             break
-        i, k = int(rows[first[0]]), int(cols[first[0]])
+        i, k = divmod(int(first[0]), m)
         delta = gains - loss[i, k]
         moved = np.flatnonzero((near[:, k] == i) & (after[:, k] > curdist[:, k]))
         if moved.size:  # re-score column k exactly as reprice did for the test

@@ -15,7 +15,7 @@ import heapq
 import math
 import numbers
 from collections import OrderedDict
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -406,7 +406,7 @@ def _topology(nodes: int, m_attach: int, seed: int, origin_penalty: int):
     """The seeded topology, kept for the next cell: consecutive cells of one
     seed share one build. Its hop matrix is read-only, so no cell can change
     what the next one gets."""
-    topology = replace(generate_power_law_topology(nodes, m_attach, seed), origin_penalty=origin_penalty)
+    topology = generate_power_law_topology(nodes, m_attach, seed, origin_penalty)
     topology.hop_matrix.setflags(write=False)
     return topology
 

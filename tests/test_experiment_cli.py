@@ -22,6 +22,7 @@ from cachenet.experiment import (
     summarize_rows,
     validate_spec,
 )
+from cachenet.netmodel import Topology
 from cachenet.simnet import Scheme
 
 
@@ -154,20 +155,28 @@ class TestRunExperiment:
         assert open(s1, "rb").read() == open(s2, "rb").read()
 
     def test_one_topology_build_per_seed(self, tmp_path, monkeypatch):
-        """Cells run seed-major, so a seed's cells share one build."""
-        builds = []
+        """Cells run seed-major, so a seed's cells share one build, and a
+        build constructs (and checks) one Topology."""
+        builds, constructed = [], []
         generate = simnet.generate_power_law_topology
+        check = Topology.__post_init__
 
         def counted(*args):
             builds.append(args)
             return generate(*args)
 
+        def counted_check(topology):
+            constructed.append(topology)
+            check(topology)
+
         monkeypatch.setattr(simnet, "generate_power_law_topology", counted)
+        monkeypatch.setattr(Topology, "__post_init__", counted_check)
         simnet._topology.cache_clear()
         spec = spec_from_dict(tiny_spec_dict(seeds=[0, 1, 2]))  # 2 values x 2 schemes x 3 seeds
         run_experiment(spec, output_dir=tmp_path)
         assert len(builds) == 3
         assert len(set(builds)) == 3
+        assert len(constructed) == 3
 
     def test_workers_capped_at_cell_count(self, tmp_path, monkeypatch):
         """Every worker is forked at the first submit, so there are no more than cells."""

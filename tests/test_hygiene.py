@@ -3,6 +3,8 @@
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,3 +112,16 @@ def test_readme_lists_the_accepted_spec_keys():
     sentence = re.search(r"Besides (.*?)\.\s+Each\s+is\s+optional", (ROOT / "README.md").read_text(), re.S)
     named = set(re.findall(r"`(\w+)`", sentence.group(1))) - {"SimConfig", "scheme", "seed"}
     assert named == set(AXES) | set(FIXED_FIELDS)
+
+
+def test_cells_leave_numpy_ma_unimported():
+    """A tiny cell of each scheme, in a fresh interpreter, never imports
+    ``numpy.ma`` (about 1 MB of peak RSS; ``np.unique`` is one way in)."""
+    script = (f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n"
+              "from cachenet.simnet import Scheme, SimConfig, run_simulation\n"
+              "for scheme in Scheme:\n"
+              "    run_simulation(SimConfig(scheme, nodes=6, objects=10, cache_fraction=0.2,\n"
+              "                             requests_per_epoch=200, epochs=3, warmup_epochs=1))\n"
+              "print('numpy.ma' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"

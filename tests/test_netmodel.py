@@ -118,7 +118,11 @@ class TestConstructorChecks:
         ([np.inf, 1.0], [0.5, 0.5]),
         ([1.0, 1.0], [np.nan, np.nan]),
         ([1.0, 1.0], [1.5, -0.5]),
-    ], ids=["nan_size", "inf_size", "nan_popularity", "negative_popularity"])
+        ([1.0], [0.5, 0.5]),
+        ([1.0, 1.0], [1.0]),
+        ([1.0, 1.0, 1.0], [0.5, 0.5]),
+    ], ids=["nan_size", "inf_size", "nan_popularity", "negative_popularity",
+            "short_sizes", "short_popularity", "long_sizes"])
     def test_catalog_rejects(self, sizes, popularity):
         with pytest.raises(InvalidParameterError):
             Catalog(2, np.array(sizes), 1.0, np.array(popularity))

@@ -504,8 +504,10 @@ FRACTIONAL_PINS = {
 class TestLocalSearch:
     def test_matches_naive_reference(self):
         rng = np.random.default_rng(23)
-        for trial in range(400):
+        no_fit = 0
+        for trial in range(700):
             three = trial >= 360  # sizes 1..3: a freed copy can fit more than one other size
+            over = trial >= 400  # a start above the pool, where a freed copy may fit no size
             inst = random_instance(rng, n_max=5, m_max=5, c_max=6, unit_sizes=trial % 2 == 0 and not three,
                                    max_size=3 if three else 2)
             if trial % 3 == 0:  # a free origin ties routers at the origin's attachment point
@@ -514,13 +516,19 @@ class TestLocalSearch:
                                 inst.catalog, inst.demand, inst.c_sum)
             if trial < 300 or three and trial % 2:
                 inst = integer_rates(inst)
-            start = random_placement(rng, inst) if trial % 4 else greedy_solve(inst).placement
+            start = random_placement(rng, inst) if trial % 4 or over else greedy_solve(inst).placement
+            if over:  # shrink the pool below the start's copies
+                sizes = inst.catalog.sizes
+                used = float((start.x @ sizes).sum())
+                inst = Instance(inst.topology, inst.catalog, inst.demand, float(rng.integers(0, max(int(used), 1))))
+                no_fit += bool(np.any(start.x & (inst.c_sum - used + sizes < sizes.min() - 1e-9)))
             for cap in (1, 2, 10 * inst.n * inst.m):
                 fast = local_search(inst, start, cap)
                 x, swaps = naive_local_search(inst, start.x, cap)
                 assert np.array_equal(fast.placement.x, x), (trial, cap)
                 assert fast.diagnostics["iterations"] == swaps, (trial, cap)
                 assert fast.cost == placement_cost(Placement(x, fast.placement.budgets), inst), (trial, cap)
+        assert no_fit >= 150, no_fit  # the no-fit case is reached: 207 of these 300 trials do
 
     def find_trap(self):
         rng = np.random.default_rng(7)

@@ -76,8 +76,9 @@ class Scheme(Enum):
 #   its gain buffer;
 # - nodes x objects: the three telemetry counters, the demand estimate and
 #   the solver's working arrays;
-# - requests_per_epoch: the requester and object draws and what serving
-#   derives from them, Python lists on the LCE path.
+# - requests_per_epoch: the requester and object draws, the draw's guide
+#   table (at most 8 entries per request) and what serving derives from them,
+#   Python lists on the LCE path.
 CELL_TERMS = (("nodes", "router pairs", 64), ("nodes x objects", "(router, object) pairs", 128),
               ("requests_per_epoch", "requests per epoch", 128))
 CELL_BYTES_BOUND = 4 << 30  # a cell estimated above this many bytes is rejected
@@ -341,16 +342,18 @@ class EpochMetrics:
     requests: int
 
 
-def _record(state: NetworkState, requesters, objects, hops, hits) -> EpochMetrics:
+def _record(state: NetworkState, cells, hops, hits) -> EpochMetrics:
     """Add an epoch's requests, hops served and local hits to the telemetry log,
-    its only writer; returns the epoch's unweighted metrics."""
+    its only writer; returns the epoch's unweighted metrics. ``cells`` are flat
+    (router, object) indices, ``router * m + object``: a 1-D index is add.at's
+    fast path, about 5x quicker than a (routers, objects) tuple."""
     hops = np.asarray(hops, dtype=np.int64)
     hits = np.asarray(hits, dtype=bool)
-    tele = state.telemetry
-    np.add.at(tele.request_count, (requesters, objects), 1)
-    np.add.at(tele.hit_count, (requesters[hits], objects[hits]), 1)  # a bool operand makes add.at ~20x slower
-    np.add.at(tele.hops_accumulated, (requesters, objects), hops)
-    total = len(requesters)
+    tele = state.telemetry  # C-contiguous counters (TelemetryLog.empty): reshape(-1) is a view
+    np.add.at(tele.request_count.reshape(-1), cells, 1)
+    np.add.at(tele.hit_count.reshape(-1), cells[hits], 1)  # a bool operand makes add.at ~10x slower
+    np.add.at(tele.hops_accumulated.reshape(-1), cells, hops)
+    total = len(cells)
     return EpochMetrics(float(hops.sum()) / total, float(hits.sum()) / total, total)
 
 
@@ -362,11 +365,33 @@ def deterministic_epoch(state: NetworkState) -> EpochMetrics:
         raise InvalidParameterError("a deterministic epoch serves an installed placement, not LCE")
     inst = state.instance
     x, dist = state.placement.x, state.placement_dist
-    _record(state, *np.indices(x.shape).reshape(2, -1), dist.ravel(), x.ravel())
+    _record(state, np.arange(x.size), dist.ravel(), x.ravel())
     q = inst.demand.rates
     w_hops = q * inst.catalog.sizes[None, :]
     return EpochMetrics(float((w_hops * dist).sum() / w_hops.sum()),
                         float(q[x].sum() / q.sum()), inst.n * inst.m)
+
+
+def _draw_objects(rng: np.random.Generator, popularity: np.ndarray, size: int) -> np.ndarray:
+    """``rng.choice(len(popularity), size, p=popularity)``, draw for draw, leaving
+    ``rng`` in the same state: the same cdf and uniforms, looked up through a
+    guide table (Chen & Asau 1974; Devroye 1986, III.2).
+
+    With ``g`` buckets, ``first[b]`` counts the cdf values <= b/g. A uniform
+    ``u`` in bucket ``b = floor(u * g)`` draws the number of cdf values <= u,
+    which is ``first[b]`` when no cdf value lies in (b/g, (b+1)/g]; only the
+    other draws are searched."""
+    cdf = np.cumsum(popularity, dtype=float)
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    g = 1 << (4 * min(len(cdf), size) - 1).bit_length()  # a power of two: u * g and b / g are exact
+    first = np.bincount(np.ceil(cdf * g).astype(np.intp), minlength=g + 1)  # c <= b/g iff ceil(c * g) <= b
+    np.cumsum(first, out=first)
+    b = (u * g).astype(np.intp)
+    objects = first[b]
+    busy = np.flatnonzero(first[b + 1] != objects)
+    objects[busy] = cdf.searchsorted(u[busy], side="right")
+    return objects
 
 
 def run_epoch(config: SimConfig, state: NetworkState, rng: np.random.Generator) -> EpochMetrics:
@@ -374,16 +399,16 @@ def run_epoch(config: SimConfig, state: NetworkState, rng: np.random.Generator) 
     drawn uniformly and objects from the catalog popularity."""
     inst = state.instance
     requesters = rng.integers(0, inst.n, size=config.requests_per_epoch)
-    objects = rng.choice(inst.m, size=config.requests_per_epoch, p=inst.catalog.popularity)
+    objects = _draw_objects(rng, inst.catalog.popularity, config.requests_per_epoch)
+    cells = requesters * inst.m + objects
     if state.placement is not None:  # an installed placement is read-only: vectorise
-        return _record(state, requesters, objects, state.placement_dist[requesters, objects],
-                       state.placement.x[requesters, objects])
+        return _record(state, cells, state.placement_dist.ravel()[cells], state.placement.x.ravel()[cells])
     hops, hits = [], []
     residents = [cache._items for cache in state.caches]
     for node, obj in zip(requesters.tolist(), objects.tolist()):
         hits.append(obj in residents[node])  # residency before serving: a 0-hop miss is a miss
         hops.append(handle_request(state, node, obj))
-    return _record(state, requesters, objects, hops, hits)
+    return _record(state, cells, hops, hits)
 
 
 @dataclass(eq=False)

@@ -33,6 +33,7 @@ from cachenet.simnet import (
     Policy,
     Scheme,
     SimConfig,
+    _draw_objects,
     _nearest_supplier,
     apply_placement,
     build_instance,
@@ -600,6 +601,50 @@ class TestRunEpoch:
                 assert tele.hops_accumulated.tolist() == hops, (trial, epoch)
         assert zero_hop_misses > 0
 
+    def test_pinned_telemetry_matches_per_request_replay(self):
+        """Pinned-path telemetry and metrics equal a per-request sum over the
+        same draws, each request served from its nearest copy or the origin,
+        across a re-install between the two epochs."""
+        rng = np.random.default_rng(43)
+        zero_hop_misses = local_hits = 0
+        for trial in range(40):
+            inst = random_instance(rng, n_max=8, m_max=6, unit_sizes=trial % 2 == 0, max_size=3)
+            sizes = inst.catalog.sizes
+            topo = replace(inst.topology, origin_penalty=0) if trial % 3 == 0 else inst.topology
+            inst = Instance(topo, inst.catalog, inst.demand, float(inst.n * sizes.sum()))
+            n, m = inst.n, inst.m
+            hop, dorg = topo.hop_matrix.tolist(), topo.origin_distances.tolist()
+            cfg = SimConfig(Scheme.RANDOM_STATIC, nodes=n, objects=m, m_attach=1, requests_per_epoch=150,
+                            epochs=2, warmup_epochs=0, cache_fraction=1.0)
+            state = NetworkState(inst)
+            counts, hits, hops = ([[0] * m for _ in range(n)] for _ in range(3))
+            for epoch in range(2):  # a fresh placement each epoch; telemetry accumulates
+                x = rng.random((n, m)) < rng.uniform(0.0, 0.7)
+                budgets = x @ sizes
+                budgets[0] += inst.c_sum - budgets.sum()
+                apply_placement(state, Placement(x, budgets))
+                metrics = run_epoch(cfg, state, np.random.default_rng(trial * 2 + epoch))
+                draw = np.random.default_rng(trial * 2 + epoch)
+                requesters = draw.integers(0, n, size=150)
+                objects = draw.choice(m, size=150, p=inst.catalog.popularity)
+                epoch_hops = epoch_hits = 0
+                for i, k in zip(requesters.tolist(), objects.tolist()):
+                    hit = bool(x[i, k])
+                    h = min([dorg[i]] + [hop[i][j] for j in range(n) if x[j, k]])
+                    counts[i][k] += 1
+                    hits[i][k] += hit
+                    hops[i][k] += h
+                    epoch_hops += h
+                    epoch_hits += hit
+                    zero_hop_misses += h == 0 and not hit
+                    local_hits += hit
+                assert metrics == EpochMetrics(epoch_hops / 150, epoch_hits / 150, 150), (trial, epoch)
+                tele = state.telemetry
+                assert tele.request_count.tolist() == counts, (trial, epoch)
+                assert tele.hit_count.tolist() == hits, (trial, epoch)
+                assert tele.hops_accumulated.tolist() == hops, (trial, epoch)
+        assert zero_hop_misses > 0 and local_hits > 0
+
     def test_fixed_seed_reproduces_telemetry(self):
         inst = path_instance(4, 3, c_sum=4.0)
         cfg = SimConfig(Scheme.LCE_LFU, nodes=4, objects=3, requests_per_epoch=500,
@@ -668,6 +713,63 @@ class TestRunEpoch:
         """The largest cells the tests, demos and benchmark run stay within the bound."""
         SimConfig(scheme, nodes=512, objects=800, requests_per_epoch=20_000, cache_fraction=0.1)
         SimConfig(scheme, nodes=128, objects=800, requests_per_epoch=30_000, cache_fraction=0.1)
+
+
+class TestDrawObjects:
+    """``_draw_objects`` against ``Generator.choice(m, size, p=popularity)``:
+    the same objects, draw for draw, and the generator left in the same state."""
+
+    SPECIAL = {
+        "uniform4": np.full(4, 0.25),  # every cdf value on a bucket edge
+        "uniform8": np.full(8, 0.125),
+        "trailing_zeros": np.array([0.5, 0.25, 0.25, 0.0, 0.0]),  # objects nobody requests
+        "two_then_zero": np.array([0.75, 0.25, 0.0]),
+        "tenths": np.full(10, 0.1),  # its cumsum ends one ulp below 1
+        "zipf5": zipf_popularity(5, 0.8),  # cdf values inside buckets
+    }
+
+    @staticmethod
+    def assert_same_draws(popularity, size, seed):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = _draw_objects(ours, popularity, size)
+        expected = theirs.choice(len(popularity), size=size, p=popularity)
+        assert drawn.dtype == expected.dtype
+        assert np.array_equal(drawn, expected)
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("alpha", [0, 0.4, 0.8, 1.2, 3, 10])
+    @pytest.mark.parametrize("m", [1, 2, 3, 80, 200, 800])
+    def test_matches_choice(self, m, alpha):
+        popularity = zipf_popularity(m, alpha)
+        for size in (1, 7, 3000):
+            for seed in range(4):
+                self.assert_same_draws(popularity, size, seed)
+
+    @pytest.mark.parametrize("name", SPECIAL)
+    def test_matches_choice_on_hand_built(self, name):
+        for size in (1, 7, 3000):
+            for seed in range(8):
+                self.assert_same_draws(self.SPECIAL[name], size, seed)
+
+    @pytest.mark.parametrize("name", SPECIAL)
+    def test_uniforms_on_bucket_edges(self, name):
+        """Uniforms exactly on bucket edges and cdf values, and the largest
+        one, which Generator draws with probability ~2**-53, draw the number
+        of cdf values at or below them."""
+        popularity = self.SPECIAL[name]
+        cdf = np.cumsum(popularity)
+        cdf /= cdf[-1]
+        edges = np.arange(64) / 64
+        u = np.concatenate([edges, np.nextafter(edges[1:], 0), cdf[cdf < 1], np.nextafter(cdf, 0), [np.nextafter(1.0, 0)]])
+
+        class Uniforms:
+            @staticmethod
+            def random(size):
+                assert size == len(u)
+                return u.copy()
+
+        drawn = _draw_objects(Uniforms, popularity, len(u))
+        assert drawn.tolist() == [int(np.count_nonzero(cdf <= v)) for v in u]
 
 
 class TestRunSimulation:

@@ -322,13 +322,16 @@ def _drop_prices(qs, curdist, after, hop, r_ix, k_ix, starts):
     """Loss and insertion-gain column change from dropping copies, each one
     given by its moved requesters r_ix (object k_ix), grouped at ``starts``."""
     q, near, far = qs[r_ix, k_ix], curdist[r_ix, k_ix], after[r_ix, k_ix]
+    gap = far - near
     # a requester at `near` that moves to `far` saves max(0, far - h) - max(0, near - h)
-    # from a copy h hops away; on whole hop counts that is clip(far - h, 0, far - near)
+    # from a copy h hops away; on whole hop counts that is clip(far - h, 0, far - near),
+    # here min then max, which is exact and quicker as far > near for a moved requester
     extra = hop[r_ix]
     np.subtract(far[:, None], extra, out=extra)
-    np.clip(extra, 0.0, (far - near)[:, None], out=extra)
+    np.minimum(extra, gap[:, None], out=extra)
+    np.maximum(extra, 0.0, out=extra)
     extra *= q[:, None]
-    return np.add.reduceat(q * (far - near), starts), np.add.reduceat(extra, starts, axis=0)
+    return np.add.reduceat(q * gap, starts), np.add.reduceat(extra, starts, axis=0)
 
 
 def local_search(instance: Instance, placement: Placement, max_iters: int) -> SolveResult:
@@ -376,7 +379,7 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
         key = k_ix * n + near[r_ix, k_ix]
         order = np.argsort(key, kind="stable")
         r_ix, k_ix, key = r_ix[order], k_ix[order], key[order]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))  # each run's first
         rows, cols = near[r_ix[starts], k_ix[starts]], k_ix[starts]
         loss[rows, cols], regains = _drop_prices(qs, curdist, after, hop, r_ix, k_ix, starts)
         regains += gains[:, cols].T

@@ -74,11 +74,11 @@ class Scheme(Enum):
 # - nodes^2: the int hop matrix, the LCE next-hop table and its per-router
 #   key lists of Python ints (about 36 each), or the solver's float copy and
 #   its gain buffer;
-# - nodes x objects: the three telemetry counters, the demand estimate and
-#   the solver's working arrays;
-# - requests_per_epoch: the requester and object draws, the draw's guide
-#   table (at most 8 entries per request) and what serving derives from them,
-#   Python lists on the LCE path.
+# - nodes x objects: the three telemetry counters, the demand estimate, the
+#   solver's working arrays and the object draw's table (under 80 bytes per
+#   object, built once per cell);
+# - requests_per_epoch: the requester and object draws and what serving
+#   derives from them, Python lists on the LCE path.
 CELL_TERMS = (("nodes", "router pairs", 64), ("nodes x objects", "(router, object) pairs", 128),
               ("requests_per_epoch", "requests per epoch", 128))
 CELL_BYTES_BOUND = 4 << 30  # a cell estimated above this many bytes is rejected
@@ -259,7 +259,8 @@ class _ReplyStops(dict):
 
 
 class NetworkState:
-    """Mutable simulation state: telemetry plus how requests are served.
+    """Mutable simulation state: telemetry, the cell's object draw
+    ``draw_objects``, and how requests are served.
 
     ``NetworkState(instance)`` serves the placement that ``apply_placement``
     installs: ``placement`` and its nearest-copy distances ``placement_dist``
@@ -273,6 +274,10 @@ class NetworkState:
         self.instance = instance
         n, m = instance.n, instance.m
         self.telemetry = TelemetryLog.empty(n, m)
+        # the cell's _ObjectDraw, built by its first run_epoch; a plain attribute, as
+        # functools.cached_property would materialise __dict__ and slow the LCE
+        # path's attribute reads
+        self.draw_objects = None
         self.placement = None
         self.placement_dist = None
         if policy is None:
@@ -372,26 +377,41 @@ def deterministic_epoch(state: NetworkState) -> EpochMetrics:
                         float(q[x].sum() / q.sum()), inst.n * inst.m)
 
 
-def _draw_objects(rng: np.random.Generator, popularity: np.ndarray, size: int) -> np.ndarray:
-    """``rng.choice(len(popularity), size, p=popularity)``, draw for draw, leaving
-    ``rng`` in the same state: the same cdf and uniforms, looked up through a
-    guide table (Chen & Asau 1974; Devroye 1986, III.2).
+class _ObjectDraw:
+    """A cell's object draw, built once: called with ``(rng, size)``, it returns
+    ``rng.choice(len(popularity), size, p=popularity)`` draw for draw and
+    leaves ``rng`` in the same state, from the same cdf and uniforms looked
+    up through a guide table (Chen & Asau 1974; Devroye 1986, III.2).
 
-    With ``g`` buckets, ``first[b]`` counts the cdf values <= b/g. A uniform
-    ``u`` in bucket ``b = floor(u * g)`` draws the number of cdf values <= u,
-    which is ``first[b]`` when no cdf value lies in (b/g, (b+1)/g]; only the
-    other draws are searched."""
-    cdf = np.cumsum(popularity, dtype=float)
-    cdf /= cdf[-1]
-    u = rng.random(size)
-    g = 1 << (4 * min(len(cdf), size) - 1).bit_length()  # a power of two: u * g and b / g are exact
-    first = np.bincount(np.ceil(cdf * g).astype(np.intp), minlength=g + 1)  # c <= b/g iff ceil(c * g) <= b
-    np.cumsum(first, out=first)
-    b = (u * g).astype(np.intp)
-    objects = first[b]
-    busy = np.flatnonzero(first[b + 1] != objects)
-    objects[busy] = cdf.searchsorted(u[busy], side="right")
-    return objects
+    With ``g`` buckets, at most 8 per object, ``first[b]`` counts the cdf
+    values <= b/g, and ``cdf[first[b]]`` is the smallest one above b/g (a
+    ``+inf`` sentinel ends the cdf). A uniform ``u`` in bucket
+    ``b = floor(u * g)`` draws the number of cdf values <= u: that is
+    ``first[b] + (cdf[first[b]] <= u)`` unless the bucket holds two or more
+    cdf values (in an empty bucket, ``cdf[first[b]]`` lies above it and the
+    comparison is false); only draws in those ``busy`` buckets are
+    binary-searched, and ``busy`` is None when there are none."""
+
+    def __init__(self, popularity: np.ndarray):
+        cdf = np.cumsum(popularity, dtype=float)
+        cdf /= cdf[-1]
+        self.g = g = 1 << (4 * len(cdf) - 1).bit_length()  # a power of two: u * g and b / g are exact
+        ends = np.bincount(np.ceil(cdf * g).astype(np.intp), minlength=g + 1)  # c <= b/g iff ceil(c * g) <= b
+        np.cumsum(ends, out=ends)
+        self.first = ends[:-1]
+        busy = np.diff(ends) > 1
+        self.busy = busy if busy.any() else None  # None at alpha 0.8 with up to 800 objects
+        self.cdf = np.append(cdf, np.inf)
+
+    def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        u = rng.random(size)
+        b = (u * self.g).astype(np.intp)
+        objects = self.first[b]
+        objects += self.cdf[objects] <= u
+        if self.busy is not None:
+            busy = np.flatnonzero(self.busy[b])
+            objects[busy] = self.cdf.searchsorted(u[busy], side="right")
+        return objects
 
 
 def run_epoch(config: SimConfig, state: NetworkState, rng: np.random.Generator) -> EpochMetrics:
@@ -399,7 +419,9 @@ def run_epoch(config: SimConfig, state: NetworkState, rng: np.random.Generator) 
     drawn uniformly and objects from the catalog popularity."""
     inst = state.instance
     requesters = rng.integers(0, inst.n, size=config.requests_per_epoch)
-    objects = _draw_objects(rng, inst.catalog.popularity, config.requests_per_epoch)
+    if state.draw_objects is None:
+        state.draw_objects = _ObjectDraw(inst.catalog.popularity)
+    objects = state.draw_objects(rng, config.requests_per_epoch)
     cells = requesters * inst.m + objects
     if state.placement is not None:  # an installed placement is read-only: vectorise
         return _record(state, cells, state.placement_dist.ravel()[cells], state.placement.x.ravel()[cells])

@@ -33,7 +33,7 @@ from cachenet.simnet import (
     Policy,
     Scheme,
     SimConfig,
-    _draw_objects,
+    _ObjectDraw,
     _nearest_supplier,
     apply_placement,
     build_instance,
@@ -716,7 +716,7 @@ class TestRunEpoch:
 
 
 class TestDrawObjects:
-    """``_draw_objects`` against ``Generator.choice(m, size, p=popularity)``:
+    """``_ObjectDraw`` against ``Generator.choice(m, size, p=popularity)``:
     the same objects, draw for draw, and the generator left in the same state."""
 
     SPECIAL = {
@@ -731,7 +731,7 @@ class TestDrawObjects:
     @staticmethod
     def assert_same_draws(popularity, size, seed):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn = _draw_objects(ours, popularity, size)
+        drawn = _ObjectDraw(popularity)(ours, size)
         expected = theirs.choice(len(popularity), size=size, p=popularity)
         assert drawn.dtype == expected.dtype
         assert np.array_equal(drawn, expected)
@@ -741,7 +741,7 @@ class TestDrawObjects:
     @pytest.mark.parametrize("m", [1, 2, 3, 80, 200, 800])
     def test_matches_choice(self, m, alpha):
         popularity = zipf_popularity(m, alpha)
-        for size in (1, 7, 3000):
+        for size in (1, 7, 3000) + ((20_000,) if m == 800 else ()):
             for seed in range(4):
                 self.assert_same_draws(popularity, size, seed)
 
@@ -751,16 +751,20 @@ class TestDrawObjects:
             for seed in range(8):
                 self.assert_same_draws(self.SPECIAL[name], size, seed)
 
-    @pytest.mark.parametrize("name", SPECIAL)
-    def test_uniforms_on_bucket_edges(self, name):
-        """Uniforms exactly on bucket edges and cdf values, and the largest
-        one, which Generator draws with probability ~2**-53, draw the number
-        of cdf values at or below them."""
-        popularity = self.SPECIAL[name]
+    @staticmethod
+    def edge_uniforms(popularity, buckets):
+        """The cdf, and uniforms exactly on its values and on ``buckets``
+        bucket edges, one ulp below each, and the largest uniform, which
+        Generator draws with probability ~2**-53."""
         cdf = np.cumsum(popularity)
         cdf /= cdf[-1]
-        edges = np.arange(64) / 64
-        u = np.concatenate([edges, np.nextafter(edges[1:], 0), cdf[cdf < 1], np.nextafter(cdf, 0), [np.nextafter(1.0, 0)]])
+        edges = np.arange(buckets) / buckets
+        return cdf, np.concatenate([edges, np.nextafter(edges[1:], 0), cdf[cdf < 1], np.nextafter(cdf, 0),
+                                    [np.nextafter(1.0, 0)]])
+
+    @staticmethod
+    def draw_on(popularity, u):
+        """What ``_ObjectDraw(popularity)`` draws from the uniforms ``u``."""
 
         class Uniforms:
             @staticmethod
@@ -768,8 +772,52 @@ class TestDrawObjects:
                 assert size == len(u)
                 return u.copy()
 
-        drawn = _draw_objects(Uniforms, popularity, len(u))
+        return _ObjectDraw(popularity)(Uniforms, len(u))
+
+    @pytest.mark.parametrize("name", SPECIAL)
+    def test_uniforms_on_bucket_edges(self, name):
+        """Uniforms exactly on bucket edges and cdf values, and the largest
+        one, which Generator draws with probability ~2**-53, draw the number
+        of cdf values at or below them."""
+        popularity = self.SPECIAL[name]
+        cdf, u = self.edge_uniforms(popularity, 64)
+        drawn = self.draw_on(popularity, u)
         assert drawn.tolist() == [int(np.count_nonzero(cdf <= v)) for v in u]
+
+    def test_uniforms_on_desk_scale_edges(self):
+        """The same uniforms on desk-scale Zipf tables and the draw's own
+        buckets reach both lookups: buckets holding one cdf value, where one
+        comparison decides (both ways), and buckets holding two or more,
+        which are searched."""
+        reached = {"below one": 0, "on one": 0, "two or more": 0}
+        for m, alpha in [(800, 0.8), (800, 1.2), (200, 0.8)]:
+            popularity = zipf_popularity(m, alpha)
+            g = _ObjectDraw(popularity).g
+            cdf, u = self.edge_uniforms(popularity, g)
+            drawn = self.draw_on(popularity, u)
+            assert drawn.tolist() == [int(np.count_nonzero(cdf <= v)) for v in u]
+            bucket = np.floor(u * g)
+            held = np.searchsorted(cdf, (bucket + 1) / g, side="right") - np.searchsorted(cdf, bucket / g, side="right")
+            at_or_below = drawn > np.searchsorted(cdf, bucket / g, side="right")
+            reached["below one"] += int(np.count_nonzero((held == 1) & ~at_or_below))
+            reached["on one"] += int(np.count_nonzero((held == 1) & at_or_below))
+            reached["two or more"] += int(np.count_nonzero(held >= 2))
+        assert min(reached.values()) > 100, reached
+
+    def test_one_table_per_cell(self, monkeypatch):
+        """A cell builds its draw's table once, however many epochs it runs."""
+        built = []
+
+        class Counted(simnet._ObjectDraw):
+            def __init__(self, popularity):
+                built.append(len(popularity))
+                super().__init__(popularity)
+
+        monkeypatch.setattr(simnet, "_ObjectDraw", Counted)
+        for scheme in Scheme:
+            run_simulation(SimConfig(scheme, nodes=8, objects=12, requests_per_epoch=200, epochs=4,
+                                     warmup_epochs=1, seed=2, cache_fraction=0.25))
+        assert built == [12] * len(Scheme)
 
 
 class TestRunSimulation:

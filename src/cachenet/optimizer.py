@@ -11,9 +11,11 @@ marginal-gain insertion, and a first-improvement swap local search.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +41,6 @@ __all__ = [
 
 # supplier sentinel for the virtual origin server
 ORIGIN = -1
-
-_EPS = 1e-12
 
 # the swap search's initial pricing takes the objects a chunk at a time, so
 # that each temporary stays within about this many entries (256 KB of
@@ -93,6 +93,20 @@ class Instance:
     def m(self) -> int:
         return self.catalog.object_count
 
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Read-only w[i, k] = rates[i, k] * sizes[k], the weight of a hop,
+        rounded to multiples of ``step = 2**(e - 52)``, where ``2**e`` is the
+        first power of two above ``sum(w) * max origin distance``. Hop counts
+        are whole, so every cost and gain the solvers sum is a whole number of
+        steps below about 2**52: exact in float64 in any order (Goldberg
+        1991). Integer weights are their own grid while that total is < 2**52."""
+        w = self.demand.rates * self.catalog.sizes[None, :]
+        e = math.frexp(float(w.sum()) * float(self.topology.origin_distances.max()))[1]
+        w = np.ldexp(np.rint(np.ldexp(w, 52 - e)), e - 52)
+        w.flags.writeable = False
+        return w
+
 
 @dataclass(eq=False)
 class SolveResult:
@@ -138,13 +152,12 @@ def placement_cost(placement: Placement, instance: Instance) -> float:
 
 def _traffic(dist: np.ndarray, instance: Instance) -> float:
     """Total hop-weighted traffic when router i fetches object k over dist[i, k] hops."""
-    return float((instance.demand.rates * dist * instance.catalog.sizes[None, :]).sum())
+    return float((instance.weights * dist).sum())
 
 
 def average_hops(cost: float, instance: Instance) -> float:
     """Objective normalized to the plotted metric: hops per unit of demand."""
-    total = float((instance.demand.rates * instance.catalog.sizes[None, :]).sum())
-    return cost / total
+    return cost / float(instance.weights.sum())
 
 
 def check_feasibility(placement: Placement, instance: Instance) -> list[str]:
@@ -154,15 +167,20 @@ def check_feasibility(placement: Placement, instance: Instance) -> list[str]:
 
     The assignment constraints (1, 2) are satisfiable for any placement
     because the origin can always supply, so they never appear as
-    violations.
+    violations. Malformed ``x`` or ``budgets`` get one message and no other.
     """
-    used = placement.x @ instance.catalog.sizes
-    problems = [f"node {i}: resident size {used[i]} exceeds budget {placement.budgets[i]}"
-                for i in np.flatnonzero(used > placement.budgets + 1e-9).tolist()]
-    total = float(placement.budgets.sum())
+    x, budgets = np.asarray(placement.x), np.asarray(placement.budgets)
+    if x.dtype != bool or x.shape != (instance.n, instance.m):
+        return [f"membership must be a {instance.n}x{instance.m} boolean matrix, not {x.dtype} {x.shape}"]
+    if budgets.shape != (instance.n,) or budgets.dtype.kind not in "iuf" or not np.isfinite(budgets).all():
+        return [f"budgets must be {instance.n} finite numbers"]
+    used = x @ instance.catalog.sizes
+    problems = [f"node {i}: resident size {used[i]} exceeds budget {budgets[i]}"
+                for i in np.flatnonzero(used > budgets + 1e-9).tolist()]
+    total = float(budgets.sum())
     if abs(total - instance.c_sum) > 1e-9:
         problems.append(f"budgets sum to {total}, pool is {instance.c_sum}")
-    if np.any(placement.budgets < -1e-9):
+    if np.any(budgets < -1e-9):
         problems.append("negative budget")
     return problems
 
@@ -184,7 +202,7 @@ def exact_solve(instance: Instance) -> SolveResult:
     if n * m > 20 or c_sum > 6:
         raise InstanceTooLargeError(f"exact_solve guard: n*m={n * m}, c_sum={c_sum}")
     sizes = [float(s) for s in instance.catalog.sizes]
-    q = instance.demand.rates.tolist()
+    w = instance.weights.tolist()
     hop = instance.topology.hop_matrix.tolist()
     dorg = [float(d) for d in instance.topology.origin_distances]
     cells = [(i, k) for i in range(n) for k in range(m)]
@@ -196,38 +214,27 @@ def exact_solve(instance: Instance) -> SolveResult:
             holders[k].append(i)
         total = 0.0
         for i in range(n):
-            qi = q[i]
+            wi = w[i]
             hi = hop[i]
             for k in range(m):
                 d = dorg[i]
                 for j in holders[k]:
                     if hi[j] < d:
                         d = hi[j]
-                total += qi[k] * d * sizes[k]
+                total += wi[k] * d
         return total
 
     min_size = min(sizes)
     max_copies = int(c_sum // min_size)
-    best_cost = cost_of(())
-    best_bits = (0,) * (n * m)
+    best_cost, best_bits = cost_of(()), (0,) * (n * m)
     for r in range(1, max_copies + 1):
         for combo in itertools.combinations(range(n * m), r):
             if sum(sizes[cells[ci][1]] for ci in combo) > c_sum + 1e-9:
                 continue
-            c = cost_of(combo)
-            if c < best_cost - _EPS:
-                best_cost = c
-                bits = [0] * (n * m)
-                for ci in combo:
-                    bits[ci] = 1
-                best_bits = tuple(bits)
-            elif abs(c - best_cost) <= _EPS:
-                bits = [0] * (n * m)
-                for ci in combo:
-                    bits[ci] = 1
-                bits = tuple(bits)
-                if bits < best_bits:
-                    best_bits = bits
+            bits = [0] * (n * m)
+            for ci in combo:
+                bits[ci] = 1
+            best_cost, best_bits = min((best_cost, best_bits), (cost_of(combo), tuple(bits)))
     x = np.array(best_bits, dtype=bool).reshape(n, m)
     placement = Placement(x, _budgets_from_usage(x, instance.catalog.sizes, c_sum))
     return SolveResult(placement, best_cost)
@@ -235,16 +242,10 @@ def exact_solve(instance: Instance) -> SolveResult:
 
 def _gains(qs: np.ndarray, dist: np.ndarray, hop: np.ndarray, saved: np.ndarray) -> np.ndarray:
     """gain[c, 0, j] = cost decrease from adding a copy of object c at router
-    j, for demand qs[c, 0, :] (rates times size) and nearest-copy distances
-    dist[c, :, 0]; a ``dist`` of one object serves every object. ``saved``
-    is the caller's scratch buffer of at least len(dist) x n x n, overwritten.
-
-    Each object gets its own vector-matrix product. BLAS sums one the same
-    way for any column of a matrix with m > 1 columns, but a contiguous
-    vector or a 2-D ``qs.T @ saved`` sums in another order, and a gain off
-    in its last bit can change a search's picks. So ``qs`` is a view
-    ``(rates * sizes).T[:, None, :]`` of the whole demand matrix, or a slice
-    of it, never a copy of its columns."""
+    j, for weights qs[c, 0, :] (``Instance.weights`` columns) and
+    nearest-copy distances dist[c, :, 0]; a ``dist`` of one object serves
+    every object. ``saved`` is the caller's scratch buffer of at least
+    len(dist) x n x n, overwritten."""
     buf = saved[:len(dist)]
     np.subtract(dist, hop, out=buf)
     np.maximum(buf, 0.0, out=buf)
@@ -272,12 +273,12 @@ def greedy_solve(instance: Instance) -> SolveResult:
     dorg = instance.topology.origin_distances.astype(float)
     sizes = instance.catalog.sizes
     size = sizes.tolist()
-    each_q = (instance.demand.rates * sizes[None, :]).T[:, None, :]  # see _gains
+    wt = instance.weights.T
     x = np.zeros((n, m), dtype=bool)
-    curdist = np.repeat(dorg[None, :, None], m, axis=0)  # curdist[k, :, 0]: object-major, so a pick updates one row
+    curdist = np.tile(dorg, (m, 1))  # curdist[k]: object-major, so a pick updates one row
     saved = np.empty((1, n, n))
-    first = _gains(each_q, curdist[:1], hop, saved)  # every object starts from the origin's distances
-    heap = [_greedy_entry(first[k, 0], size[k], k) for k in range(m)]
+    first = wt @ np.maximum(dorg[:, None] - hop, 0.0)  # every object starts from the origin's distances
+    heap = [_greedy_entry(first[k], size[k], k) for k in range(m)]
     heapq.heapify(heap)
     pool = float(instance.c_sum)
     smallest = min(size)
@@ -286,17 +287,17 @@ def greedy_solve(instance: Instance) -> SolveResult:
         if size[k] > pool + 1e-9:
             heapq.heappop(heap)
             continue
-        if -neg_gain <= _EPS:
+        if neg_gain >= 0:
             break
         x[j, k] = True
         pool -= size[k]
-        np.minimum(curdist[k, :, 0], hop[j], out=curdist[k, :, 0])  # hop is symmetric
+        np.minimum(curdist[k], hop[j], out=curdist[k])  # hop is symmetric
         # a holder's gain is exactly 0, so it is the best copy only when no
         # copy gains, and then the entry is never picked: no mask needed
-        heapq.heapreplace(heap, _greedy_entry(_gains(each_q[k:k + 1], curdist[k:k + 1], hop, saved)[0, 0], size[k], k))
+        gain = _gains(wt[k, None, None], curdist[k, None, :, None], hop, saved)[0, 0]
+        heapq.heapreplace(heap, _greedy_entry(gain, size[k], k))
     out = Placement(x, _budgets_from_usage(x, sizes, instance.c_sum))
-    # in C order: _traffic's sum adds in memory order
-    return SolveResult(out, _traffic(np.ascontiguousarray(curdist[:, :, 0].T), instance))
+    return SolveResult(out, _traffic(curdist.T, instance))
 
 
 def _runner_up(x: np.ndarray, hop: np.ndarray, dorg: np.ndarray):
@@ -351,7 +352,7 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
     hop = instance.topology.hop_matrix.astype(float)
     dorg = instance.topology.origin_distances.astype(float)
     sizes = instance.catalog.sizes
-    qs = instance.demand.rates * sizes[None, :]
+    qs = instance.weights
     x = placement.x.copy()
     slack = float(instance.c_sum - (x @ sizes).sum())
     curdist = np.empty((n, m))  # curdist[r, k] = r's distance to the nearest copy of k
@@ -363,20 +364,21 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
     colmax = np.zeros(m)  # best gain of adding k where it is absent
     step = min(m, max(1, _CHUNK // (n * n)))  # objects per chunk of the initial pricing
     saved = np.empty((max(2, step), n, n))  # _gains' scratch buffer: a chunk or a swap's two objects
-    each_q = qs.T[:, None, :]
 
-    def reprice(objs: slice):  # a slice, so that each_q[objs] is a view (see _gains)
-        near[:, objs], after[:, objs], curdist[:, objs] = _runner_up(x[:, objs], hop, dorg)
-        gains[:, objs] = _gains(each_q[objs], curdist.T[objs, :, None], hop, saved)[:, 0].T
-        absent = ~x[:, objs]
-        colmax[objs] = np.where(absent, gains[:, objs], -np.inf).max(axis=0)
+    def reprice(objs):  # distinct object indices; priced on local columns, then stored
+        objs = np.asarray(objs)
+        held = x[:, objs]
+        nearest, far, dist = _runner_up(held, hop, dorg)
+        gain = _gains(qs.T[objs, None], dist.T[:, :, None], hop, saved)[:, 0].T
+        best = np.where(held, -np.inf, gain).max(axis=0)
+        near[:, objs], after[:, objs], curdist[:, objs], gains[:, objs] = nearest, far, dist, gain
+        colmax[objs] = regain[:, objs] = best
         loss[:, objs] = 0.0
-        regain[:, objs] = colmax[objs]
-        c_ix, r_ix = np.nonzero((after[:, objs] > curdist[:, objs]).T)  # a tie for nearest never moves
+        c_ix, r_ix = np.nonzero((far > dist).T)  # a tie for nearest never moves
         if not r_ix.size:
             return
-        k_ix = np.arange(m)[objs][c_ix]
-        key = k_ix * n + near[r_ix, k_ix]
+        k_ix = objs[c_ix]
+        key = k_ix * n + nearest[r_ix, c_ix]
         order = np.argsort(key, kind="stable")
         r_ix, k_ix, key = r_ix[order], k_ix[order], key[order]
         starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))  # each run's first
@@ -387,7 +389,7 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
         regain[rows, cols] = regains.max(axis=1)
 
     for start in range(0, m, step):
-        reprice(slice(start, min(start + step, m)))
+        reprice(np.arange(start, min(start + step, m)))
     by_size = np.argsort(sizes, kind="stable")
     sorted_sizes = sizes[by_size]
     applied = 0
@@ -399,8 +401,7 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
         fits = np.searchsorted(sorted_sizes, room + 1e-9, side="right")
         other = np.concatenate(([-np.inf], np.maximum.accumulate(colmax[by_size])))[fits]
         same = np.where(sizes <= room + 1e-9, regain, -np.inf)
-        # fl(g - loss) is monotone in g, so the best gain decides for every candidate
-        first = np.flatnonzero(x & (np.maximum(other, same) - loss > _EPS))
+        first = np.flatnonzero(x & (np.maximum(other, same) > loss))
         if not first.size:
             break
         i, k = divmod(int(first[0]), m)
@@ -409,13 +410,12 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
         if moved.size:  # re-score column k exactly as reprice did for the test
             shift = _drop_prices(qs, curdist, after, hop, moved, k, [0])[1][0]
             delta[:, k] = gains[:, k] + shift - loss[i, k]
-        candidate = ~x & (sizes[None, :] <= room[k] + 1e-9) & (delta > _EPS)
+        candidate = ~x & (sizes[None, :] <= room[k] + 1e-9) & (delta > 0)
         j, k2 = divmod(int(np.flatnonzero(candidate.ravel())[0]), m)
         x[i, k] = False
         x[j, k2] = True
         slack = slack + float(sizes[k]) - float(sizes[k2])
-        lo, hi = sorted((k, k2))
-        reprice(slice(lo, hi + 1, max(1, hi - lo)))  # columns k and k2 only
+        reprice(sorted({k, k2}))
         applied += 1
     out = Placement(x, _budgets_from_usage(x, sizes, instance.c_sum))
     return SolveResult(out, _traffic(curdist, instance), {"iterations": applied})

@@ -364,17 +364,16 @@ def _record(state: NetworkState, cells, hops, hits) -> EpochMetrics:
 
 def deterministic_epoch(state: NetworkState) -> EpochMetrics:
     """Request every (node, object) pair once from the installed placement and
-    return the metrics weighted by demand, so the measured average hops
-    equals the optimizer objective exactly."""
+    return the average hops weighted by the optimizer's ``Instance.weights``,
+    so they equal the optimizer objective exactly, and the hit ratio weighted
+    by request rate."""
     if state.placement is None:
         raise InvalidParameterError("a deterministic epoch serves an installed placement, not LCE")
     inst = state.instance
     x, dist = state.placement.x, state.placement_dist
     _record(state, np.arange(x.size), dist.ravel(), x.ravel())
-    q = inst.demand.rates
-    w_hops = q * inst.catalog.sizes[None, :]
-    return EpochMetrics(float((w_hops * dist).sum() / w_hops.sum()),
-                        float(q[x].sum() / q.sum()), inst.n * inst.m)
+    w, q = inst.weights, inst.demand.rates
+    return EpochMetrics(float((w * dist).sum() / w.sum()), float(q[x].sum() / q.sum()), inst.n * inst.m)
 
 
 class _ObjectDraw:

@@ -75,6 +75,24 @@ def assert_lines(source: str) -> list:
     return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
 
 
+def weight_products(source: str) -> list:
+    """Lines of a ``*`` with one operand reading ``rates`` and the other
+    ``sizes``, outside ``Instance.weights``, the one place that forms a hop's
+    weight (a name or an attribute of that name counts as a read)."""
+    tree = ast.parse(source)
+    exempt = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "Instance"
+              for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "weights"
+              for node in ast.walk(fn)}
+
+    def reads(node, name):
+        return any(getattr(n, "id", None) == name or getattr(n, "attr", None) == name for n in ast.walk(node))
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and id(node) not in exempt
+                  and (reads(node.left, "rates") and reads(node.right, "sizes")
+                       or reads(node.left, "sizes") and reads(node.right, "rates")))
+
+
 def test_detector_finds_unused_import():
     assert unused_imports("import os\nimport sys\nprint(sys)\n") == [(1, "os")]
     assert unused_imports("from __future__ import annotations\nfrom a import b as c\n") == [(2, "c")]
@@ -116,6 +134,21 @@ def test_detector_finds_tuple_index_add_at():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_add_at_takes_flat_indices(path):
     assert tuple_index_add_at(path.read_text()) == []
+
+
+def test_detector_finds_weight_product():
+    source = ("class Instance:\n    def weights(self):\n        return self.demand.rates * self.catalog.sizes\n"
+              "cost = (inst.demand.rates * dist * inst.catalog.sizes[None, :]).sum()\n"
+              "total = (sizes[None, :] * rates).sum()\n"
+              "hops = rates * dist\nused = x @ sizes\nw = inst.weights * dist\n")
+    assert weight_products(source) == [4, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_weight_product(path):
+    """Only ``Instance.weights`` multiplies rates by sizes; every cost, gain
+    and metric reads its rounded weights."""
+    assert weight_products(path.read_text()) == []
 
 
 def test_detector_finds_assert():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from cachenet import optimizer
 from cachenet.netmodel import (
     Catalog,
     DemandMatrix,
+    InvalidParameterError,
     Topology,
     all_pairs_hops,
+    build_demand,
     generate_power_law_topology,
     zipf_popularity,
 )
 from cachenet.optimizer import (
-    _EPS,
     _gains,
     ORIGIN,
     Instance,
@@ -30,6 +32,7 @@ from cachenet.optimizer import (
     placement_digest,
     solve,
 )
+from cachenet.simnet import NetworkState, apply_placement
 from util import nearest_assignment, random_instance
 
 
@@ -166,6 +169,58 @@ class TestInstanceChecks:
             make_instance(path_topology(3), 2, 0.0, np.ones((3, 2)), c_sum)
 
 
+class TestWeights:
+    """``Instance.weights``: rates x sizes on the instance's power-of-two grid."""
+
+    @staticmethod
+    def step(inst):
+        total = float((inst.demand.rates * inst.catalog.sizes).sum()) * float(inst.topology.origin_distances.max())
+        return 2.0 ** (math.frexp(total)[1] - 52)
+
+    @pytest.mark.parametrize("max_size", [1, 3], ids=["unit_sizes", "sizes_1_2_3"])
+    def test_integer_demand_unchanged(self, max_size):
+        inst = telemetry_instance(24, 80, 1, smoothing=1.0, max_size=max_size)
+        assert inst.weights.tobytes() == (inst.demand.rates * inst.catalog.sizes).tobytes()
+
+    def test_integer_total_just_under_2_52(self):
+        """sum(w) * max distance = 2**52 - 1 keeps odd weights; one more unit
+        of demand doubles the step and moves them."""
+        topo = path_topology(3)  # origin distances 3, 4, 5
+        big = (2 ** 52 - 1) // 5 - 11
+        for extra, unchanged in ((0, True), (1, False)):
+            inst = make_instance(topo, 2, 0.0, [[big + extra, 1], [1, 1], [1, 1]], 6.0, sizes=[1, 3])
+            raw = inst.demand.rates * inst.catalog.sizes
+            assert (float(raw.sum()) * 5 < 2 ** 52) is unchanged
+            assert (inst.weights.tobytes() == raw.tobytes()) is unchanged
+
+    @pytest.mark.parametrize("max_size", [1, 3], ids=["unit_sizes", "sizes_1_2_3"])
+    @pytest.mark.parametrize("n,m,topo_seed", [(24, 80, 1), (64, 200, 5)], ids=["24x80", "64x200"])
+    def test_fractional_demand_on_grid(self, n, m, topo_seed, max_size):
+        inst = telemetry_instance(n, m, topo_seed, smoothing=0.3, max_size=max_size)
+        units = inst.weights / self.step(inst)
+        assert np.array_equal(units, np.round(units))
+        assert float(units.sum()) * float(inst.topology.origin_distances.max()) < 2 ** 52
+        raw = inst.demand.rates * inst.catalog.sizes
+        assert np.abs(inst.weights - raw).max() <= self.step(inst) / 2
+        assert not np.array_equal(inst.weights, raw)  # the demand is off the grid
+
+    def test_smallest_true_demand_weight_kept(self):
+        """True demand at 800 objects and alpha 1.2 keeps its least popular
+        object, which a fixed 2**-10 grid rounds to zero."""
+        topo = generate_power_law_topology(64, 2, seed=1)
+        catalog = Catalog.uniform_sizes(800, 1.2)
+        inst = Instance(topo, catalog, build_demand(topo, catalog), 64.0)
+        smallest = float(inst.demand.rates.min())
+        assert round(smallest * 2 ** 10) == 0
+        assert inst.weights.min() > 0
+        assert abs(float(inst.weights.min()) - smallest) <= self.step(inst) / 2
+
+    def test_read_only(self):
+        inst = telemetry_instance(24, 80, 1)
+        with pytest.raises(ValueError):
+            inst.weights[0, 0] = 1.0
+
+
 class TestFeasibility:
     def test_empty_with_equal_split_ok(self):
         topo = path_topology(3)
@@ -186,6 +241,28 @@ class TestFeasibility:
         inst = make_instance(topo, 2, 0.0, np.ones((3, 2)), 6.0)
         placement = Placement(np.zeros((3, 2), dtype=bool), np.array([2.0, 2.0, 1.0]))
         assert check_feasibility(placement, inst) == ["budgets sum to 5.0, pool is 6.0"]
+
+    MALFORMED = {  # (x, budgets) for a 6-router, 10-object instance with pool 6
+        "fractional_x": (np.full((6, 10), 0.1), np.ones(6)),
+        "extra_router": (np.eye(7, 10, dtype=bool) & (np.arange(7) < 6)[:, None], np.append(np.ones(6), 0.0)),
+        "missing_router": (np.eye(5, 10, dtype=bool), np.full(5, 1.2)),
+        "nan_budgets": (np.zeros((6, 10), dtype=bool), np.full(6, np.nan)),
+        "one_budget": (np.zeros((6, 10), dtype=bool), np.array([6.0])),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_placement_one_message(self, case):
+        """A membership matrix that is not n x m boolean, or budgets that are
+        not n finite numbers, get one message and no install."""
+        inst = make_instance(path_topology(6), 10, 0.8, np.ones((6, 10)), 6.0)
+        placement = Placement(*self.MALFORMED[case])
+        problems = check_feasibility(placement, inst)
+        assert len(problems) == 1
+        assert problems[0].startswith("budgets must be" if "budget" in case else "membership must be")
+        state = NetworkState(inst)
+        with pytest.raises(InvalidParameterError):
+            apply_placement(state, placement)
+        assert state.placement is None
 
 
 class TestExactSolve:
@@ -243,7 +320,7 @@ def naive_greedy(instance):
     the nearest-copy kernel and adds the best by gain per size unit, then
     gain, then lowest router, then lowest object."""
     sizes = instance.catalog.sizes
-    qs = instance.demand.rates * sizes[None, :]
+    qs = instance.weights
     x = np.zeros((instance.n, instance.m), dtype=bool)
     pool = instance.c_sum
     while True:
@@ -259,7 +336,7 @@ def naive_greedy(instance):
                 key = (gain / sizes[k], gain, -j, -k)
                 if best is None or key > best:
                     best = key
-        if best is None or best[1] <= 1e-12:
+        if best is None or best[1] <= 0:
             return x
         j, k = -best[2], -best[3]
         x[j, k] = True
@@ -273,7 +350,7 @@ def rescan_greedy(instance):
     n, m = instance.n, instance.m
     hop = instance.topology.hop_matrix.astype(float)
     sizes = instance.catalog.sizes
-    qs = instance.demand.rates * sizes[None, :]
+    qs = instance.weights
     x = np.zeros((n, m), dtype=bool)
     curdist = nearest_copy(x, instance)
     pool = float(instance.c_sum)
@@ -290,7 +367,7 @@ def rescan_greedy(instance):
         tied = np.flatnonzero(rate == rate.max())
         tied = tied[best_gain[tied] == best_gain[tied].max()]
         k = int(tied[np.argmin(best_router[tied])])
-        if rate[k] == -np.inf or best_gain[k] <= _EPS:
+        if rate[k] == -np.inf or best_gain[k] <= 0:
             break
         j = int(best_router[k])
         x[j, k] = True
@@ -327,6 +404,19 @@ class TestGainKernel:
             assert np.array_equal(_gains(each_q, each_dist[:1], hop, saved)[:, 0], shared), trial
             k = int(rng.integers(0, m))
             assert np.array_equal(_gains(each_q[k:k + 1], each_dist[k:k + 1], hop, saved)[0, 0], ref[k]), trial
+
+
+def _gain_buffer(dist, hop, saved):
+    buf = saved[:len(dist)]
+    np.subtract(dist, hop, out=buf)
+    return np.maximum(buf, 0.0, out=buf)
+
+
+GAIN_ORDERS = {  # _gains with its products summed in other orders
+    "contiguous": lambda qs, dist, hop, saved: _gains(np.ascontiguousarray(qs), dist, hop, saved),
+    "einsum": lambda qs, dist, hop, saved: np.einsum("cxi,cij->cxj", qs, _gain_buffer(dist, hop, saved)),
+    "reversed": lambda qs, dist, hop, saved: np.matmul(qs[:, :, ::-1], _gain_buffer(dist, hop, saved)[:, ::-1]),
+}
 
 
 class TestGreedy:
@@ -405,10 +495,10 @@ class TestGreedy:
 def naive_local_search(instance, x, max_iters):
     """Reference swap search: residents in (node, object) order, candidates
     (j, k2) row-major, each swap scored by recomputing the whole cost from
-    the nearest-copy kernel; the first that improves by more than _EPS is
-    applied and the scan restarts. Returns (x, swaps)."""
+    the nearest-copy kernel; the first that lowers it is applied and the
+    scan restarts. Returns (x, swaps)."""
     sizes = instance.catalog.sizes
-    weight = instance.demand.rates * sizes[None, :]
+    weight = instance.weights
 
     def cost(y):
         return float((weight * nearest_copy(y, instance)).sum())
@@ -425,7 +515,7 @@ def naive_local_search(instance, x, max_iters):
                     continue
                 y = x.copy()
                 y[i, k], y[j, k2] = False, True
-                if base - cost(y) > _EPS:
+                if cost(y) < base:
                     swap = i, k, j, k2
                     break
             if swap:
@@ -475,29 +565,28 @@ def desk_instance():
 DESK_DIGEST = "ffb11f5f2e5976643d9d94a9f34c695fa4e27c1b3db6eaca19378631569b243b"
 DESK_COST = 36840.0  # greedy alone: 36882.0
 DESK_SWAPS = 26
-# solve on non-integer demand (smoothing 0.3), where a gain summed in another
-# order can differ in its last bits and change a pick; pinned before the gain
-# kernel priced several objects per call. A 2-D product for greedy's first
-# scores breaks three of them (24x80 at fraction 0.10 with seed 3, both size
-# ranges, and 64x200 with sizes 1..3 at fraction 0.02 with seed 3).
+# solve on non-integer demand (smoothing 0.3). Instance.weights rounds it onto
+# the instance's power-of-two grid, where every cost and gain is exact, so
+# these hold for any summation order of the gain kernel
+# (test_fractional_demand_order_free).
 # (n x m, max_size, fraction, request seed): (digest, cost, swaps)
 FRACTIONAL_PINS = {
-    ("24x80", 1, 0.02, 2): ("7ecfe556bb4f04f0c7f830c6c47ff676d8db7b1535e7cbbd7f50aa2378681adb", 60973.4, 1),
-    ("24x80", 1, 0.02, 3): ("b69a92a5f4e2186d52a8a6db0baac846247a48f7dd5a34fd0c1794fa60f5f605", 61091.3, 0),
-    ("24x80", 1, 0.1, 2): ("ebf6487e01727c34ec98359d4101fbc3a3c3ae2cdcab136279ba246ab5b86484", 27694.9, 22),
-    ("24x80", 1, 0.1, 3): ("c5dd0ef47604394b77ab282f3dee3859f86170e0ede2c1d2ff8a15696faf7b3f", 27724.900000000005, 28),
-    ("24x80", 3, 0.02, 2): ("6bf5c6e6e7b0ab085d7db97798104654b8aec036af52b7e96fc1a1675956908a", 145355.9, 0),
-    ("24x80", 3, 0.02, 3): ("8e9ef2a50e55a9bdf8b52c64439d7d8ee2efd227a10f63a5f9b275c1b36c61f4", 184883.90000000002, 0),
-    ("24x80", 3, 0.1, 2): ("b25da1d75cbb69cb79e7226013f2f9fba55e92b3e38d7dd5d7bacddf87281235", 71849.00000000001, 6),
-    ("24x80", 3, 0.1, 3): ("bc632153e20440b2f4bf040257c41242e8ce83fdd13cf3ca126205672f6bd61a", 97102.90000000001, 0),
-    ("64x200", 1, 0.02, 2): ("9bf0acdcec0accf0238612891b9a79b3cbbfd826a04b3235b2b4ce8b8ada65de", 49469.399999999994, 2),
-    ("64x200", 1, 0.02, 3): ("a6d78f18b2e35cf831e328fc8d026924cc6eacdf70c4a34053c78fc703694046", 49535.59999999999, 1),
-    ("64x200", 1, 0.1, 2): ("a1ee2444eb88b342ead5d1453bf4c7f2e0a0ba8775d704c90091ffee31b06ccf", 26473.4, 64),
-    ("64x200", 1, 0.1, 3): ("d466aaed55b911eec0d33b8cfba25d65e2ae56586992c74c3ae2061a13e2c933", 26613.600000000002, 53),
-    ("64x200", 3, 0.02, 2): ("c22968ee25705d163000fa2661c9eaece0e818e8f00da3fa18b494f9ab13f040", 137502.0, 0),
-    ("64x200", 3, 0.02, 3): ("27515e4cb8831425ecbef39af22410da714440ec22f074d6c191db522db728de", 159108.09999999998, 0),
-    ("64x200", 3, 0.1, 2): ("849495b7f31d4c5e76c1df3d06389a5a0c9b2948d311215cdffa39b8f0c7d7e2", 67986.7, 22),
-    ("64x200", 3, 0.1, 3): ("97d711a4cfa4b353b981e32c3c9914c222923e33f0e2cfb385d9c4927a5c5e3a", 79504.3, 19),
+    ("24x80", 1, 0.02, 2): ("7ecfe556bb4f04f0c7f830c6c47ff676d8db7b1535e7cbbd7f50aa2378681adb", 60973.39999993553, 1),
+    ("24x80", 1, 0.02, 3): ("b69a92a5f4e2186d52a8a6db0baac846247a48f7dd5a34fd0c1794fa60f5f605", 61091.299999934796, 0),
+    ("24x80", 1, 0.1, 2): ("ebf6487e01727c34ec98359d4101fbc3a3c3ae2cdcab136279ba246ab5b86484", 27694.899999970512, 22),
+    ("24x80", 1, 0.1, 3): ("c5dd0ef47604394b77ab282f3dee3859f86170e0ede2c1d2ff8a15696faf7b3f", 27724.899999970396, 28),
+    ("24x80", 3, 0.02, 2): ("6bf5c6e6e7b0ab085d7db97798104654b8aec036af52b7e96fc1a1675956908a", 145355.90000011993, 0),
+    ("24x80", 3, 0.02, 3): ("8e9ef2a50e55a9bdf8b52c64439d7d8ee2efd227a10f63a5f9b275c1b36c61f4", 184883.90000006754, 0),
+    ("24x80", 3, 0.1, 2): ("b25da1d75cbb69cb79e7226013f2f9fba55e92b3e38d7dd5d7bacddf87281235", 71849.00000004855, 6),
+    ("24x80", 3, 0.1, 3): ("bc632153e20440b2f4bf040257c41242e8ce83fdd13cf3ca126205672f6bd61a", 97102.90000002831, 0),
+    ("64x200", 1, 0.02, 2): ("9bf0acdcec0accf0238612891b9a79b3cbbfd826a04b3235b2b4ce8b8ada65de", 49469.399999749265, 2),
+    ("64x200", 1, 0.02, 3): ("a6d78f18b2e35cf831e328fc8d026924cc6eacdf70c4a34053c78fc703694046", 49535.599999749684, 1),
+    ("64x200", 1, 0.1, 2): ("a5cb5a37b04794c2d5b3085b6dc313d0a0034812a41ef0f31e3c7bbc90d108ff", 26473.699999822362, 75),
+    ("64x200", 1, 0.1, 3): ("d466aaed55b911eec0d33b8cfba25d65e2ae56586992c74c3ae2061a13e2c933", 26613.59999982326, 54),
+    ("64x200", 3, 0.02, 2): ("c22968ee25705d163000fa2661c9eaece0e818e8f00da3fa18b494f9ab13f040", 137502.00000060967, 0),
+    ("64x200", 3, 0.02, 3): ("23d22b2a4bb45449dd41dd910378a8dec45b67ab76ba19260d189ec25c0813c7", 159111.10000043781, 0),
+    ("64x200", 3, 0.1, 2): ("afcd3b048f2602710f772dfd171d9e08b75508e48e579ee650d0b4efb56eba9c", 67986.7000002981, 24),
+    ("64x200", 3, 0.1, 3): ("b7515cdb14889f4c4328de470649c6c15fde62d27d99db5fde730fa9cec62226", 79504.3000002437, 19),
 }
 
 
@@ -633,3 +722,15 @@ class TestSolvePipeline:
         assert placement_digest(result.placement) == digest
         assert result.cost == cost
         assert result.diagnostics["swaps"] == swaps
+
+    @pytest.mark.parametrize("order", GAIN_ORDERS)
+    def test_fractional_demand_order_free(self, monkeypatch, order):
+        """Every cost and gain is exact on the instance's grid, so summing the
+        gain kernel's products in another order leaves each pinned solve."""
+        monkeypatch.setattr(optimizer, "_gains", GAIN_ORDERS[order])
+        topo_seeds = {"24x80": 1, "64x200": 5}
+        for key, pinned in FRACTIONAL_PINS.items():
+            size, max_size, fraction, seed = key
+            n, m = map(int, size.split("x"))
+            result = solve(telemetry_instance(n, m, topo_seeds[size], fraction, 0.3, max_size, seed))
+            assert (placement_digest(result.placement), result.cost, result.diagnostics["swaps"]) == pinned, key

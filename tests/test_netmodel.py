@@ -21,6 +21,8 @@ from cachenet.netmodel import (
     shortest_path,
     zipf_popularity,
 )
+from cachenet.optimizer import Instance
+from cachenet.simnet import Scheme, SimConfig
 from util import random_connected_edges, reference_all_pairs_hops, reference_next_hop
 
 
@@ -94,10 +96,48 @@ class TestTopologyGeneration:
             assert (v, u) not in topo.edges
 
 
+PATH3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+
+
+def topology(hop, origin_attach=0, origin_penalty=3):
+    """A Topology over the routers of ``hop``, its hop-1 pairs as edges."""
+    hop = np.asarray(hop)
+    edges = frozenset((int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(hop == 1))))
+    return Topology(len(hop), edges, hop, origin_attach, origin_penalty)
+
+
+def catalog(sizes, popularity):
+    return Catalog(len(sizes), np.asarray(sizes, dtype=float), 1.0, np.asarray(popularity, dtype=float))
+
+
+# one constructor call per range check, and the start of the message it raises
+REJECTED = {
+    "config_objects": (lambda: SimConfig(Scheme.NO_CACHE, objects=0), "objects must be >= 1"),
+    "config_epochs": (lambda: SimConfig(Scheme.NO_CACHE, epochs=0), "epochs must be positive"),
+    "config_cache_fraction_zero": (lambda: SimConfig(Scheme.NO_CACHE, cache_fraction=0.0),
+                                   r"cache_fraction must be in \(0, 1\]"),
+    "config_cache_fraction_above_one": (lambda: SimConfig(Scheme.NO_CACHE, cache_fraction=1.5),
+                                        r"cache_fraction must be in \(0, 1\]"),
+    "topology_origin_penalty": (lambda: topology(PATH3, origin_penalty=-1), "origin_penalty must be nonnegative"),
+    "topology_origin_attach_high": (lambda: topology(PATH3, origin_attach=3), "origin_attach out of range"),
+    "topology_origin_attach_negative": (lambda: topology(PATH3, origin_attach=-1), "origin_attach out of range"),
+    "topology_empty": (lambda: topology(np.zeros((0, 0), dtype=int)), "node_count must be positive"),
+    "catalog_popularity_sum": (lambda: catalog([1.0, 1.0], [0.5, 0.4]), "popularity must sum to 1"),
+    "demand_all_zero": (lambda: DemandMatrix(np.zeros((2, 3))), "at least one rate must be positive"),
+    "instance_demand_shape": (lambda: Instance(topology(PATH3), catalog([1.0, 1.0], [0.5, 0.5]),
+                                               DemandMatrix(np.ones((3, 3))), 1.0), "demand shape does not match"),
+    "generator_m_attach": (lambda: generate_power_law_topology(4, 0, seed=0), "m_attach must be >= 1"),
+}
+
+
 class TestConstructorChecks:
     """Public constructors reject input that would run to impossible numbers."""
 
-    PATH3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    @pytest.mark.parametrize("case", REJECTED)
+    def test_rejects_out_of_range(self, case):
+        build, message = REJECTED[case]
+        with pytest.raises(ValueError, match="^" + message):
+            build()
 
     @pytest.mark.parametrize("hop", [
         [[0, -1, -2], [-1, 0, -1], [-2, -1, 0]],  # solved to a negative cost
@@ -109,7 +149,7 @@ class TestConstructorChecks:
     ], ids=["negative", "shape", "asymmetric", "diagonal", "zero_off_diagonal", "float"])
     def test_topology_rejects_hop_matrix(self, hop):
         edges = frozenset({(0, 1), (1, 2)})
-        Topology(3, edges, np.array(self.PATH3), 0)  # the valid matrix passes
+        Topology(3, edges, np.array(PATH3), 0)  # the valid matrix passes
         with pytest.raises(InvalidParameterError):
             Topology(3, edges, np.array(hop), 0)
 

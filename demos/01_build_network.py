@@ -7,7 +7,7 @@ writes the interchange files.
 
 import numpy as np
 
-from cachenet import Catalog, build_demand, generate_power_law_topology, zipf_popularity
+from cachenet import Catalog, build_demand, generate_power_law_topology
 from cachenet.netmodel import catalog_to_csv, demand_to_csv, save_topology
 
 topology = generate_power_law_topology(n=64, m_attach=2, seed=7)
@@ -18,8 +18,9 @@ print(f"origin attaches at router {topology.origin_attach} "
       f"(+{topology.origin_penalty} hop penalty)")
 print(f"network diameter: {topology.hop_matrix.max()} hops")
 
-catalog = Catalog.uniform_sizes(object_count=200, alpha=0.8)
-print(f"\ncatalog: {catalog.object_count} unit-size objects, Zipf alpha={catalog.alpha}")
+alpha = 0.8
+catalog = Catalog.uniform_sizes(object_count=200, alpha=alpha)
+print(f"\ncatalog: {catalog.object_count} unit-size objects, Zipf alpha={alpha}")
 print(f"top-5 popularity: {np.round(catalog.popularity[:5], 4)}")
 print(f"head/next ratio p1/p2 = {catalog.popularity[0] / catalog.popularity[1]:.4f} "
       f"(= 2^0.8)")

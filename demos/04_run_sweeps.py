@@ -26,10 +26,10 @@ def show(summary_path, xlabel):
         print(f"{v:8.2f}  " + "  ".join(f"{means[(v, s)]:13.3f}" for s in schemes))
 
 
-_, summary_cs = run_experiment(cache_size_sweep_spec(**light), output_dir="cache_size_results")
+_, summary_cs = run_experiment(cache_size_sweep_spec(**light, output="cache_size_results"))
 show(summary_cs, "cache")
 
-_, summary_a = run_experiment(alpha_sweep_spec(**light), output_dir="alpha_results")
+_, summary_a = run_experiment(alpha_sweep_spec(**light, output="alpha_results"))
 show(summary_a, "alpha")
 
 print("\nfull CSVs: cache_size_results/, alpha_results/ (per_run.csv + summary.csv)")

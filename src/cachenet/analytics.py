@@ -8,23 +8,18 @@ harness to install at the epoch boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .netmodel import Catalog, DemandMatrix, Topology
+from .netmodel import DemandMatrix
 from .optimizer import Instance, Placement, solve
 
 __all__ = [
     "ControllerDecision",
-    "EmptyTelemetryError",
     "estimate_demand",
     "controller_epoch",
 ]
-
-
-class EmptyTelemetryError(ValueError):
-    """No observations and no smoothing: the estimate would be all-zero."""
 
 
 @dataclass(eq=False)
@@ -38,20 +33,18 @@ def estimate_demand(telemetry_log, smoothing: float) -> np.ndarray:
     """Additive-smoothed per (node, object) request counts.
 
     rates_hat[i, k] = request_count[i, k] + smoothing, so the estimate sums
-    to total_requests + n*m*smoothing.
+    to total_requests + n*m*smoothing (``DemandMatrix`` rejects a zero sum).
     """
     if smoothing < 0:
         raise ValueError("smoothing must be nonnegative")
-    if smoothing == 0 and telemetry_log.total_requests == 0:
-        raise EmptyTelemetryError("empty telemetry with zero smoothing")
     return np.asarray(telemetry_log.request_count, dtype=float) + smoothing
 
 
-def controller_epoch(telemetry_log, topology: Topology, catalog: Catalog,
-                     c_sum: float, smoothing: float) -> ControllerDecision:
-    """One control-loop turn: estimate demand, solve, emit a directive.
-    ``simnet.apply_placement`` checks the placement when it installs it."""
-    instance = Instance(topology, catalog, DemandMatrix(estimate_demand(telemetry_log, smoothing)), c_sum)
-    result = solve(instance)
+def controller_epoch(telemetry_log, instance: Instance, smoothing: float) -> ControllerDecision:
+    """One control-loop turn: estimate demand, solve it on ``instance``'s
+    topology, catalog and pool, emit a directive. ``simnet.apply_placement``
+    checks the placement when it installs it."""
+    estimate = replace(instance, demand=DemandMatrix(estimate_demand(telemetry_log, smoothing)))
+    result = solve(estimate)
     return ControllerDecision(result.placement, result.cost,
                               {**result.diagnostics, "sample_count": telemetry_log.total_requests})

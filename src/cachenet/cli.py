@@ -60,8 +60,10 @@ def main(argv=None) -> int:
         if args.verb == "validate":
             print("ok")
             return 0
+    if args.output is not None:
+        spec.output = args.output
     try:
-        per_run, summary = run_experiment(spec, jobs=args.jobs, output_dir=args.output)
+        per_run, summary = run_experiment(spec, jobs=args.jobs)
     except OSError as exc:
         print(f"error: {exc}")
         return 1

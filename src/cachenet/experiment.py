@@ -171,14 +171,13 @@ def _write_csv(path, header, rows) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def run_experiment(spec: ExperimentSpec, jobs: int = 1, output_dir=None) -> tuple:
-    """Run the full grid; returns (per_run_csv_path, summary_csv_path).
+def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> tuple:
+    """Run the full grid into ``spec.output``; returns (per_run_csv_path, summary_csv_path).
 
     Output ordering is canonical (sweep value, scheme name, seed) regardless
     of execution order, so reruns are byte-identical.
     """
-    out_dir = output_dir if output_dir is not None else spec.output
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(spec.output, exist_ok=True)
     # seed-major, so a seed's cells run back to back and share one topology build
     cells = [(value, spec.config(value, s, seed))
              for seed in spec.seeds
@@ -191,8 +190,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1, output_dir=None) -> tupl
     else:
         rows = [_run_cell(cell) for cell in cells]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    per_run_path = os.path.join(out_dir, "per_run.csv")
-    summary_path = os.path.join(out_dir, "summary.csv")
+    per_run_path = os.path.join(spec.output, "per_run.csv")
+    summary_path = os.path.join(spec.output, "summary.csv")
     _write_csv(per_run_path, PER_RUN_HEADER, rows)
     _write_csv(summary_path, SUMMARY_HEADER, summarize_rows(rows))
     return per_run_path, summary_path

@@ -39,31 +39,33 @@ class DisconnectedGraphError(ValueError):
 
 @dataclass(eq=False)
 class Topology:
-    """Undirected connected router graph plus a virtual origin attachment.
+    """Undirected connected graph over the routers that index ``hop_matrix``,
+    plus a virtual origin attachment.
 
     The origin server is not a member of the router set: it permanently
     holds every object, consumes no cache budget, and is reachable from
     router ``i`` at ``hop_matrix[i, origin_attach] + origin_penalty`` hops.
     """
 
-    node_count: int
     edges: frozenset
     hop_matrix: np.ndarray
     origin_attach: int
     origin_penalty: int = 3
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise InvalidParameterError("node_count must be positive")
+        hop = np.asarray(self.hop_matrix)  # symmetric, as nearest_copy reads row j as distances to j
+        if (hop.ndim != 2 or hop.size == 0 or hop.dtype.kind not in "iu" or not np.array_equal(hop, hop.T)
+                or not np.array_equal(hop == 0, np.eye(len(hop), dtype=bool)) or hop.min() < 0):
+            raise InvalidParameterError("hop_matrix must be a nonempty symmetric integer square matrix, "
+                                        "zero on the diagonal and >= 1 elsewhere")
         if self.origin_penalty < 0:
             raise InvalidParameterError("origin_penalty must be nonnegative")
-        if not (0 <= self.origin_attach < self.node_count):
+        if not (0 <= self.origin_attach < len(hop)):
             raise InvalidParameterError("origin_attach out of range")
-        hop = np.asarray(self.hop_matrix)  # symmetric, as nearest_copy reads row j as distances to j
-        if (hop.shape != (self.node_count,) * 2 or hop.dtype.kind not in "iu" or not np.array_equal(hop, hop.T)
-                or not np.array_equal(hop == 0, np.eye(self.node_count, dtype=bool)) or hop.min() < 0):
-            raise InvalidParameterError("hop_matrix must be a symmetric integer node_count x node_count "
-                                        "matrix, zero on the diagonal and >= 1 elsewhere")
+
+    @property
+    def node_count(self) -> int:
+        return len(self.hop_matrix)
 
     @property
     def origin_distances(self) -> np.ndarray:
@@ -80,18 +82,14 @@ class Topology:
 
 @dataclass(eq=False)
 class Catalog:
-    """Content objects with sizes and rank-ordered Zipf popularity."""
+    """Content objects, one per entry of ``sizes``, and their rank-ordered popularity."""
 
-    object_count: int
     sizes: np.ndarray
-    alpha: float
     popularity: np.ndarray
 
     def __post_init__(self):
-        if self.object_count < 1:
-            raise InvalidParameterError("object_count must be positive")
-        if np.shape(self.sizes) != (self.object_count,) or np.shape(self.popularity) != (self.object_count,):
-            raise InvalidParameterError("sizes and popularity must each hold object_count entries")
+        if np.ndim(self.sizes) != 1 or np.size(self.sizes) == 0 or np.shape(self.popularity) != np.shape(self.sizes):
+            raise InvalidParameterError("sizes and popularity must be nonempty vectors of one length")
         if not np.all(np.isfinite(self.sizes) & (self.sizes > 0)):
             raise InvalidParameterError("all object sizes must be positive and finite")
         if not np.all(np.isfinite(self.popularity) & (self.popularity >= 0)):
@@ -101,10 +99,13 @@ class Catalog:
         if np.any(np.diff(self.popularity) > 1e-12):
             raise InvalidParameterError("popularity must be non-increasing")
 
+    @property
+    def object_count(self) -> int:
+        return len(self.sizes)
+
     @classmethod
     def uniform_sizes(cls, object_count: int, alpha: float) -> "Catalog":
-        pop = zipf_popularity(object_count, alpha)
-        return cls(object_count, np.ones(object_count), alpha, pop)
+        return cls(np.ones(object_count), zipf_popularity(object_count, alpha))
 
 
 @dataclass(eq=False)
@@ -204,7 +205,7 @@ def generate_power_law_topology(n: int, m_attach: int, seed: int, origin_penalty
     if len(edges) != expected:
         raise RuntimeError(f"attachment rule fixes the edge count at {expected}, built {len(edges)}")
     origin_attach = int(np.argmax(np.bincount(stubs, minlength=n)))  # stubs count degrees; lowest index on ties
-    return Topology(n, frozenset(edges), all_pairs_hops(n, edges), origin_attach, origin_penalty)
+    return Topology(frozenset(edges), all_pairs_hops(n, edges), origin_attach, origin_penalty)
 
 
 def zipf_popularity(m: int, alpha: float) -> np.ndarray:

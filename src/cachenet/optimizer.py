@@ -78,9 +78,7 @@ class Instance:
     c_sum: float
 
     def __post_init__(self):
-        n = self.topology.node_count
-        m = self.catalog.object_count
-        if self.demand.rates.shape != (n, m):
+        if self.demand.rates.shape != (self.n, self.m):
             raise ValueError("demand shape does not match topology/catalog")
         if not (np.isfinite(self.c_sum) and self.c_sum >= 0):
             raise ValueError("c_sum must be finite and nonnegative")
@@ -100,9 +98,13 @@ class Instance:
         first power of two above ``sum(w) * max origin distance``. Hop counts
         are whole, so every cost and gain the solvers sum is a whole number of
         steps below about 2**52: exact in float64 in any order (Goldberg
-        1991). Integer weights are their own grid while that total is < 2**52."""
+        1991). Integer weights are their own grid while that total is < 2**52;
+        a total that is not a finite float, which no grid fits, raises ValueError."""
         w = self.demand.rates * self.catalog.sizes[None, :]
-        e = math.frexp(float(w.sum()) * float(self.topology.origin_distances.max()))[1]
+        top = float(w.sum()) * float(self.topology.origin_distances.max())
+        if not math.isfinite(top):
+            raise ValueError(f"sum(w) * max origin distance is {top}, not a finite float: the demand has no grid")
+        e = math.frexp(top)[1]
         w = np.ldexp(np.rint(np.ldexp(w, 52 - e)), e - 52)
         w.flags.writeable = False
         return w
@@ -167,7 +169,8 @@ def check_feasibility(placement: Placement, instance: Instance) -> list[str]:
 
     The assignment constraints (1, 2) are satisfiable for any placement
     because the origin can always supply, so they never appear as
-    violations. Malformed ``x`` or ``budgets`` get one message and no other.
+    violations, and a negative budget gets its router's capacity message.
+    Malformed ``x`` or ``budgets`` get one message and no other.
     """
     x, budgets = np.asarray(placement.x), np.asarray(placement.budgets)
     if x.dtype != bool or x.shape != (instance.n, instance.m):
@@ -180,8 +183,6 @@ def check_feasibility(placement: Placement, instance: Instance) -> list[str]:
     total = float(budgets.sum())
     if abs(total - instance.c_sum) > 1e-9:
         problems.append(f"budgets sum to {total}, pool is {instance.c_sum}")
-    if np.any(budgets < -1e-9):
-        problems.append("negative budget")
     return problems
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import functools
 import heapq
-import math
 import numbers
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -107,12 +107,12 @@ class SimConfig:
     def __post_init__(self):
         if isinstance(self.scheme, str):
             self.scheme = Scheme(self.scheme)
-        for f in fields(self):  # types first, so the range checks below compare numbers
+        for f in fields(self):  # types first, so the checks below compare numbers; ints but the seed fit int64
             value = getattr(self, f.name)
-            if f.type == "int" and not is_number(value, numbers.Integral):
-                raise InvalidParameterError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not (is_number(value, numbers.Real) and math.isfinite(value)):
-                raise InvalidParameterError(f"{f.name} must be a finite number, got {value!r}")
+            if f.type == "int" and not (is_number(value, numbers.Integral) and (f.name == "seed" or abs(value) < 2**63)):
+                raise InvalidParameterError(f"{f.name} must be a 64-bit integer, got {value!r}")
+            if f.type == "float" and not (is_number(value, numbers.Real) and abs(value) <= sys.float_info.max):
+                raise InvalidParameterError(f"{f.name} must be a finite float, got {value!r}")
         if self.m_attach < 1:
             raise InvalidParameterError("m_attach must be >= 1")
         if self.nodes < max(2, self.m_attach + 1):
@@ -123,8 +123,11 @@ class SimConfig:
             raise InvalidParameterError("alpha must be nonnegative")
         if self.origin_penalty < 0:
             raise InvalidParameterError("origin_penalty must be nonnegative")
-        if self.smoothing < 0:
-            raise InvalidParameterError("smoothing must be nonnegative")
+        # Instance.weights needs the estimate's total (the requests, plus smoothing per router and object)
+        # times at most nodes - 1 + origin_penalty hops to be a finite float; smoothing gets half the range
+        most = 2**1023 // (self.nodes - 1 + self.origin_penalty) / (self.nodes * self.objects)
+        if not 0 <= self.smoothing <= most:
+            raise InvalidParameterError(f"smoothing must be in [0, {most:.3g}]; above, the estimate's weights overflow")
         if self.requests_per_epoch < 1:
             raise InvalidParameterError("requests_per_epoch must be positive")
         if self.epochs < 1:
@@ -266,8 +269,8 @@ class NetworkState:
     installs: ``placement`` and its nearest-copy distances ``placement_dist``
     are the only record of residency. ``NetworkState(instance, capacities,
     policy)`` is a leave-copy-everywhere state with one LRU or LFU cache per
-    router, a holder index per object, the next-hop table, and the
-    ``_ReplyStops`` memo over it.
+    router, a holder index per object, and the ``_ReplyStops`` memo over
+    the next-hop table.
     """
 
     def __init__(self, instance: Instance, capacities=None, policy: Policy | None = None):
@@ -284,13 +287,12 @@ class NetworkState:
             return
         self.caches = [Cache(capacities[i], policy) for i in range(n)]
         self.holders = [set() for _ in range(m)]
-        self.next_hop = bfs_next_hop(instance.topology.hop_matrix)
         # python-native copies for the per-request fast path; _key[i][j] =
         # hop(i, j) * n + j orders routers by distance, then by index
         self._key = (instance.topology.hop_matrix * n + np.arange(n)).tolist()
         self._dorg = [int(d) for d in instance.topology.origin_distances]
         self._sizes = instance.catalog.sizes.tolist()
-        self.reply_stops = _ReplyStops(self.next_hop, instance.topology.origin_attach)
+        self.reply_stops = _ReplyStops(bfs_next_hop(instance.topology.hop_matrix), instance.topology.origin_attach)
 
 
 def apply_placement(state: NetworkState, placement: Placement) -> None:
@@ -497,8 +499,7 @@ def run_simulation(config: SimConfig) -> MetricsReport:
     for epoch in range(config.epochs):
         epoch_metrics.append(run_epoch(config, state, req_rng))
         if config.scheme is Scheme.OPTIMIZED and epoch < config.epochs - 1:
-            decision = analytics.controller_epoch(state.telemetry, instance.topology, instance.catalog,
-                                                  instance.c_sum, config.smoothing)
+            decision = analytics.controller_epoch(state.telemetry, instance, config.smoothing)
             apply_placement(state, decision.placement)
 
     measured = epoch_metrics[config.warmup_epochs:]

@@ -61,16 +61,16 @@ SWEEP_LOAD = dict(requests_per_epoch=3000, epochs=5, warmup_epochs=1)
 
 @pytest.fixture(scope="module")
 def cache_size_summary(tmp_path_factory):
-    spec = cache_size_sweep_spec(**SWEEP_LOAD)
+    spec = cache_size_sweep_spec(**SWEEP_LOAD, output=str(tmp_path_factory.mktemp("cache_size")))
     t0 = time.time()
-    _, summary = run_experiment(spec, output_dir=tmp_path_factory.mktemp("cache_size"))
+    _, summary = run_experiment(spec)
     return read_summary(summary), time.time() - t0, spec
 
 
 @pytest.fixture(scope="module")
 def alpha_summary(tmp_path_factory):
-    spec = alpha_sweep_spec(**SWEEP_LOAD)
-    _, summary = run_experiment(spec, output_dir=tmp_path_factory.mktemp("alpha"))
+    spec = alpha_sweep_spec(**SWEEP_LOAD, output=str(tmp_path_factory.mktemp("alpha")))
+    _, summary = run_experiment(spec)
     return read_summary(summary), spec
 
 
@@ -206,8 +206,7 @@ def test_criterion_7_closed_loop_convergence():
     for epoch in range(cfg.epochs):
         run_epoch(cfg, state, req_rng)
         if epoch < cfg.epochs - 1:
-            decision = controller_epoch(state.telemetry, inst.topology, inst.catalog,
-                                        float(cfg.c_sum), cfg.smoothing)
+            decision = controller_epoch(state.telemetry, inst, cfg.smoothing)
             apply_placement(state, decision.placement)
             decision_costs.append(placement_cost(decision.placement, inst))
     converged = all(abs(c - optimum) <= 1e-9 for c in decision_costs)
@@ -219,8 +218,10 @@ def test_criterion_7_closed_loop_convergence():
 def test_criterion_8_end_to_end_determinism(tmp_path):
     spec = cache_size_sweep_spec(nodes=16, objects=100, seeds=[0, 1],
                      requests_per_epoch=500, epochs=3, warmup_epochs=1)
-    p1, s1 = run_experiment(spec, output_dir=tmp_path / "run1")
-    p2, s2 = run_experiment(spec, output_dir=tmp_path / "run2")
+    spec.output = str(tmp_path / "run1")
+    p1, s1 = run_experiment(spec)
+    spec.output = str(tmp_path / "run2")
+    p2, s2 = run_experiment(spec)
     same = (open(p1, "rb").read() == open(p2, "rb").read()
             and open(s1, "rb").read() == open(s2, "rb").read())
     report(8, same, "two end-to-end runs of the cache-size sweep spec produced "

@@ -4,7 +4,6 @@ import pytest
 from cachenet import analytics
 from cachenet.analytics import (
     ControllerDecision,
-    EmptyTelemetryError,
     controller_epoch,
     estimate_demand,
 )
@@ -49,8 +48,11 @@ class TestEstimateDemand:
         assert est.sum() == pytest.approx(counts.sum() + 6)
 
     def test_empty_log_zero_smoothing_rejected(self):
-        with pytest.raises(EmptyTelemetryError):
-            estimate_demand(log_with_counts(np.zeros((2, 2))), smoothing=0.0)
+        """An all-zero estimate is no demand: the controller's DemandMatrix rejects it."""
+        rng = np.random.default_rng(36)
+        inst = random_instance(rng)
+        with pytest.raises(InvalidParameterError, match="at least one rate must be positive"):
+            controller_epoch(log_with_counts(np.zeros((inst.n, inst.m))), inst, smoothing=0.0)
 
     def test_negative_smoothing_rejected(self):
         with pytest.raises(ValueError):
@@ -93,7 +95,7 @@ class TestControllerEpoch:
             if inst.c_sum == 0:
                 continue
             log = self.sampled_log(inst, 100_000, seed=1)
-            decision = controller_epoch(log, inst.topology, inst.catalog, inst.c_sum, smoothing=1.0)
+            decision = controller_epoch(log, inst, smoothing=1.0)
             exact = exact_solve(inst)
             got = placement_cost(decision.placement, inst)
             assert got == pytest.approx(exact.cost, rel=1e-9)
@@ -105,7 +107,7 @@ class TestControllerEpoch:
         inst = random_instance(rng)
         inst = Instance(inst.topology, inst.catalog, inst.demand, 0.0)
         log = self.sampled_log(inst, 1000, seed=2)
-        decision = controller_epoch(log, inst.topology, inst.catalog, 0.0, 1.0)
+        decision = controller_epoch(log, inst, 1.0)
         assert not decision.placement.x.any()
         assert decision.solver_diagnostics["sample_count"] == 1000
         origin_cost = float((log.request_count + 1.0)
@@ -116,8 +118,8 @@ class TestControllerEpoch:
         rng = np.random.default_rng(33)
         inst = random_instance(rng, c_max=3)
         log = self.sampled_log(inst, 5000, seed=3)
-        a = controller_epoch(log, inst.topology, inst.catalog, inst.c_sum, 1.0)
-        b = controller_epoch(log, inst.topology, inst.catalog, inst.c_sum, 1.0)
+        a = controller_epoch(log, inst, 1.0)
+        b = controller_epoch(log, inst, 1.0)
         assert np.array_equal(a.placement.x, b.placement.x)
         assert a.estimated_cost == b.estimated_cost
 
@@ -126,7 +128,7 @@ class TestControllerEpoch:
         for _ in range(10):
             inst = random_instance(rng, c_max=4)
             log = self.sampled_log(inst, 2000, seed=4)
-            decision = controller_epoch(log, inst.topology, inst.catalog, inst.c_sum, 1.0)
+            decision = controller_epoch(log, inst, 1.0)
             assert check_feasibility(decision.placement, inst) == []
             est_inst = Instance(inst.topology, inst.catalog,
                                 DemandMatrix(estimate_demand(log, 1.0)), inst.c_sum)
@@ -138,13 +140,30 @@ class TestControllerEpoch:
         rng = np.random.default_rng(35)
         inst = random_instance(rng, c_max=3)
         counts = np.round(inst.demand.rates * 1000).astype(np.int64)
-        decision = controller_epoch(log_with_counts(counts), inst.topology,
-                                    inst.catalog, inst.c_sum, smoothing=0.0)
+        decision = controller_epoch(log_with_counts(counts), inst, smoothing=0.0)
         scaled = Instance(inst.topology, inst.catalog, DemandMatrix(counts.astype(float)),
                           inst.c_sum)
         direct = solve(scaled)
         assert decision.estimated_cost == pytest.approx(direct.cost)
         assert np.array_equal(decision.placement.x, direct.placement.x)
+
+    def test_largest_smoothing_decides_finite(self, monkeypatch):
+        """SimConfig rejects a smoothing whose estimate would weigh beyond the
+        float range, and every decision of a smoothing it accepts is finite."""
+        decisions = []
+
+        def recorded(*args):
+            decisions.append(controller_epoch(*args))
+            return decisions[-1]
+
+        monkeypatch.setattr(analytics, "controller_epoch", recorded)
+        cell = dict(nodes=6, objects=10, cache_fraction=0.1, requests_per_epoch=200, epochs=3, warmup_epochs=1)
+        with pytest.raises(InvalidParameterError, match=r"^smoothing must be in \[0, "):
+            SimConfig(Scheme.OPTIMIZED, smoothing=1e308, **cell)
+        report = run_simulation(SimConfig(Scheme.OPTIMIZED, smoothing=1e305, **cell))
+        assert len(decisions) == 2
+        assert all(np.isfinite(d.estimated_cost) and d.estimated_cost > 0 for d in decisions)
+        assert 0 <= report.avg_hops < 6 + 3
 
     def test_infeasible_solution_raises(self, monkeypatch):
         """An infeasible decision never serves: the install rejects it, in
@@ -166,7 +185,7 @@ class TestControllerEpoch:
         apply_placement(state, empty)
         installed, dist = state.placement, state.placement_dist
         log = log_with_counts(np.ones((inst.n, inst.m), dtype=np.int64))
-        decision = controller_epoch(log, inst.topology, inst.catalog, inst.c_sum, 1.0)
+        decision = controller_epoch(log, inst, 1.0)
         problems = [f"node {i}: resident size {float(inst.m)} exceeds budget 0.0" for i in range(inst.n)]
         if inst.c_sum:
             problems.append(f"budgets sum to 0.0, pool is {inst.c_sum}")

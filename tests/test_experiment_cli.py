@@ -33,19 +33,29 @@ UNRUNNABLE = [("nodes", 2), ("alpha", -1), ("smoothing", -1), ("origin_penalty",
 # validate with a traceback or pass it and then crash the run
 MISTYPED = [("nodes", "abc", "nodes_str"), ("values", ["0.1"], "values_str"),
             ("nodes", 5.5, "nodes_float"), ("seeds", [0.5], "seeds_float"),
-            ("alpha", float("nan"), "alpha_nan")]
+            ("alpha", float("nan"), "alpha_nan"),
+            ("alpha", 10**400, "alpha_huge_int"), ("smoothing", 10**400, "smoothing_huge_int")]
 # values of a key SimConfig no longer has: validate rejects any of them as an
 # unknown field, whatever the value
 RETIRED = [("per_node_rate", 0, "per_node_rate"),
            ("per_node_rate", 5e-324, "per_node_rate_subnormal")]
 # cells whose arrays no run could hold: rejected from the spec, without running
-OVERSIZED = [("nodes", 200_000, "nodes_oversized"), ("requests_per_epoch", 10**12, "requests_oversized")]
+OVERSIZED = [("nodes", 200_000, "nodes_oversized"), ("requests_per_epoch", 10**12, "requests_oversized"),
+             ("nodes", 10**400, "nodes_huge_int"), ("requests_per_epoch", 10**400, "requests_huge_int")]
 BAD_SPECS = ([pytest.param("seeds", [2, 2], id="seeds"),
               pytest.param("seeds", [0, -1], id="seeds_negative"),
               pytest.param("schemes", ["NO_CACHE", "NO_CACHE"], id="schemes_dup"),
-              pytest.param("cache_fraction", 0.5, id="swept_fixed")]
+              pytest.param("cache_fraction", 0.5, id="swept_fixed"),
+              # the estimate's hop-weighted total overflows a float, and every decision is NaN
+              pytest.param("smoothing", 1e308, id="smoothing_overflow")]
              + [pytest.param(f, v, id=f) for f, v in UNRUNNABLE]
              + [pytest.param(f, v, id=i) for f, v, i in MISTYPED + RETIRED + OVERSIZED])
+
+
+def run_into(spec, out, jobs=1):
+    """Run ``spec`` into the directory ``out``."""
+    spec.output = str(out)
+    return run_experiment(spec, jobs=jobs)
 
 
 def tiny_spec_dict(**overrides):
@@ -111,7 +121,7 @@ class TestValidation:
 class TestRunExperiment:
     def test_outputs_and_headers(self, tmp_path):
         spec = spec_from_dict(tiny_spec_dict())
-        per_run, summary = run_experiment(spec, output_dir=tmp_path / "out")
+        per_run, summary = run_into(spec, tmp_path / "out")
         with open(per_run) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == PER_RUN_HEADER
@@ -125,7 +135,7 @@ class TestRunExperiment:
 
     def test_summary_recomputable_from_per_run(self, tmp_path):
         spec = spec_from_dict(tiny_spec_dict())
-        per_run, summary = run_experiment(spec, output_dir=tmp_path / "out")
+        per_run, summary = run_into(spec, tmp_path / "out")
         with open(per_run) as fh:
             reader = csv.reader(fh)
             next(reader)
@@ -141,16 +151,16 @@ class TestRunExperiment:
 
     def test_rerun_byte_identical(self, tmp_path):
         spec = spec_from_dict(tiny_spec_dict())
-        p1, s1 = run_experiment(spec, output_dir=tmp_path / "a")
-        p2, s2 = run_experiment(spec, output_dir=tmp_path / "b")
+        p1, s1 = run_into(spec, tmp_path / "a")
+        p2, s2 = run_into(spec, tmp_path / "b")
         assert open(p1, "rb").read() == open(p2, "rb").read()
         assert open(s1, "rb").read() == open(s2, "rb").read()
 
     def test_parallel_matches_serial(self, tmp_path):
         """Workers keep their own topology memo and share fewer builds; the CSVs do not change."""
         spec = spec_from_dict(tiny_spec_dict(seeds=[0, 1, 2]))
-        p1, s1 = run_experiment(spec, output_dir=tmp_path / "serial")
-        p2, s2 = run_experiment(spec, jobs=2, output_dir=tmp_path / "parallel")
+        p1, s1 = run_into(spec, tmp_path / "serial")
+        p2, s2 = run_into(spec, tmp_path / "parallel", jobs=2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
         assert open(s1, "rb").read() == open(s2, "rb").read()
 
@@ -173,7 +183,7 @@ class TestRunExperiment:
         monkeypatch.setattr(Topology, "__post_init__", counted_check)
         simnet._topology.cache_clear()
         spec = spec_from_dict(tiny_spec_dict(seeds=[0, 1, 2]))  # 2 values x 2 schemes x 3 seeds
-        run_experiment(spec, output_dir=tmp_path)
+        run_into(spec, tmp_path)
         assert len(builds) == 3
         assert len(set(builds)) == 3
         assert len(constructed) == 3
@@ -197,7 +207,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlineExecutor)
         spec = spec_from_dict(tiny_spec_dict())  # 2 values x 2 schemes x 2 seeds
-        run_experiment(spec, jobs=500, output_dir=tmp_path / "out")
+        run_into(spec, tmp_path / "out", jobs=500)
         assert workers == [8]
 
 
@@ -245,7 +255,7 @@ class TestAcceptedSpecsRun:
         except ConfigError:
             return
         with tempfile.TemporaryDirectory() as out:
-            per_run, _ = run_experiment(spec, output_dir=out)
+            per_run, _ = run_into(spec, out)
             with open(per_run) as fh:
                 rows = list(csv.DictReader(fh))
         assert rows
@@ -301,6 +311,15 @@ class TestCli:
         assert main(["validate", str(path)]) == 1
         assert field in capsys.readouterr().out
 
+    @pytest.mark.parametrize("sweep", ["cache_fraction", "alpha"])
+    def test_validate_swept_value_beyond_float(self, tmp_path, capsys, sweep):
+        """A sweep value that no float holds is INVALID in the swept field's name."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(tiny_spec_dict(sweep=sweep, values=[10**400])))
+        assert main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("INVALID:") and f"{sweep} must be a finite float" in out
+
     def test_validate_rejects_per_node_rate(self, tmp_path, capsys):
         """per_node_rate only scaled a demand that no output reads, so it is not a spec key."""
         path = tmp_path / "spec.json"
@@ -312,12 +331,14 @@ class TestCli:
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
 
     def test_run_writes_csvs(self, tmp_path, capsys):
+        """Into the spec's output, or the --output directory that replaces it."""
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(tiny_spec_dict()))
-        out = tmp_path / "results"
-        assert main(["run", str(path), "--output", str(out)]) == 0
-        assert (out / "per_run.csv").exists()
-        assert (out / "summary.csv").exists()
+        path.write_text(json.dumps(tiny_spec_dict(output=str(tmp_path / "from_spec"))))
+        for argv, out in ((["run", str(path)], tmp_path / "from_spec"),
+                          (["run", str(path), "--output", str(tmp_path / "results")], tmp_path / "results")):
+            assert main(argv) == 0
+            assert (out / "per_run.csv").exists()
+            assert (out / "summary.csv").exists()
 
     def test_run_invalid_spec_nonzero(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -368,6 +389,6 @@ class TestGoldenOutputs:
          "e52af9ad211df8065a1a065a0b358278c2024f822cae31adb783217ce66f90c6"),
     ], ids=["demo", "criterion_8"])
     def test_csv_digests(self, tmp_path, make_spec, per_run_sha, summary_sha):
-        per_run, summary = run_experiment(make_spec(), output_dir=tmp_path)
+        per_run, summary = run_into(make_spec(), tmp_path)
         assert hashlib.sha256(open(per_run, "rb").read()).hexdigest() == per_run_sha
         assert hashlib.sha256(open(summary, "rb").read()).hexdigest() == summary_sha

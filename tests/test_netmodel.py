@@ -103,11 +103,11 @@ def topology(hop, origin_attach=0, origin_penalty=3):
     """A Topology over the routers of ``hop``, its hop-1 pairs as edges."""
     hop = np.asarray(hop)
     edges = frozenset((int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(hop == 1))))
-    return Topology(len(hop), edges, hop, origin_attach, origin_penalty)
+    return Topology(edges, hop, origin_attach, origin_penalty)
 
 
 def catalog(sizes, popularity):
-    return Catalog(len(sizes), np.asarray(sizes, dtype=float), 1.0, np.asarray(popularity, dtype=float))
+    return Catalog(np.asarray(sizes, dtype=float), np.asarray(popularity, dtype=float))
 
 
 # one constructor call per range check, and the start of the message it raises
@@ -121,8 +121,9 @@ REJECTED = {
     "topology_origin_penalty": (lambda: topology(PATH3, origin_penalty=-1), "origin_penalty must be nonnegative"),
     "topology_origin_attach_high": (lambda: topology(PATH3, origin_attach=3), "origin_attach out of range"),
     "topology_origin_attach_negative": (lambda: topology(PATH3, origin_attach=-1), "origin_attach out of range"),
-    "topology_empty": (lambda: topology(np.zeros((0, 0), dtype=int)), "node_count must be positive"),
+    "topology_empty": (lambda: topology(np.zeros((0, 0), dtype=int)), "hop_matrix must be a nonempty"),
     "catalog_popularity_sum": (lambda: catalog([1.0, 1.0], [0.5, 0.4]), "popularity must sum to 1"),
+    "catalog_empty": (lambda: catalog([], []), "sizes and popularity must be nonempty"),
     "demand_all_zero": (lambda: DemandMatrix(np.zeros((2, 3))), "at least one rate must be positive"),
     "instance_demand_shape": (lambda: Instance(topology(PATH3), catalog([1.0, 1.0], [0.5, 0.5]),
                                                DemandMatrix(np.ones((3, 3))), 1.0), "demand shape does not match"),
@@ -141,7 +142,7 @@ class TestConstructorChecks:
 
     @pytest.mark.parametrize("hop", [
         [[0, -1, -2], [-1, 0, -1], [-2, -1, 0]],  # solved to a negative cost
-        [[0, 1], [1, 0]],  # 2 x 2 on 3 routers
+        [[0, 1, 2], [1, 0, 1]],  # 2 x 3
         [[0, 1, 2], [1, 0, 1], [1, 1, 0]],  # asymmetric
         [[1, 1, 2], [1, 0, 1], [2, 1, 0]],  # nonzero diagonal
         [[0, 0, 2], [0, 0, 1], [2, 1, 0]],  # two routers at distance 0
@@ -149,9 +150,9 @@ class TestConstructorChecks:
     ], ids=["negative", "shape", "asymmetric", "diagonal", "zero_off_diagonal", "float"])
     def test_topology_rejects_hop_matrix(self, hop):
         edges = frozenset({(0, 1), (1, 2)})
-        Topology(3, edges, np.array(PATH3), 0)  # the valid matrix passes
+        Topology(edges, np.array(PATH3), 0)  # the valid matrix passes
         with pytest.raises(InvalidParameterError):
-            Topology(3, edges, np.array(hop), 0)
+            Topology(edges, np.array(hop), 0)
 
     @pytest.mark.parametrize("sizes,popularity", [
         ([np.nan, 1.0], [0.5, 0.5]),
@@ -165,7 +166,7 @@ class TestConstructorChecks:
             "short_sizes", "short_popularity", "long_sizes"])
     def test_catalog_rejects(self, sizes, popularity):
         with pytest.raises(InvalidParameterError):
-            Catalog(2, np.array(sizes), 1.0, np.array(popularity))
+            Catalog(np.array(sizes), np.array(popularity))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_demand_rejects_non_finite_rates(self, bad):

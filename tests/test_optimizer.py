@@ -38,12 +38,12 @@ from util import nearest_assignment, random_instance
 
 def path_topology(n, origin_attach=0, penalty=3):
     edges = frozenset((i, i + 1) for i in range(n - 1))
-    return Topology(n, edges, all_pairs_hops(n, edges), origin_attach, penalty)
+    return Topology(edges, all_pairs_hops(n, edges), origin_attach, penalty)
 
 
 def make_instance(topo, m, alpha, rates, c_sum, sizes=None):
     sizes = np.ones(m) if sizes is None else np.asarray(sizes, dtype=float)
-    catalog = Catalog(m, sizes, alpha, zipf_popularity(m, alpha))
+    catalog = Catalog(sizes, zipf_popularity(m, alpha))
     return Instance(topo, catalog, DemandMatrix(np.asarray(rates, dtype=float)), c_sum)
 
 
@@ -215,6 +215,15 @@ class TestWeights:
         assert inst.weights.min() > 0
         assert abs(float(inst.weights.min()) - smallest) <= self.step(inst) / 2
 
+    def test_overflowing_total_rejected(self):
+        """Demand whose hop-weighted total is not a finite float has no grid:
+        its weights, and so every solve, raise instead of reading inf."""
+        inst = make_instance(path_topology(3), 2, 0.0, np.full((3, 2), 1e307), 2.0)  # sums to 6e307, times 5 hops
+        with pytest.raises(ValueError, match="finite float"):
+            inst.weights
+        with pytest.raises(ValueError, match="finite float"):
+            solve(inst)
+
     def test_read_only(self):
         inst = telemetry_instance(24, 80, 1)
         with pytest.raises(ValueError):
@@ -306,6 +315,27 @@ class TestExactSolve:
         inst = make_instance(topo, 5, 0.5, np.ones((5, 5)), 2.0)
         with pytest.raises(InstanceTooLargeError):
             exact_solve(inst)
+
+    @pytest.mark.parametrize("c_sum", [2.0, 4.0, 6.0])
+    def test_size_pool_prune_matches_brute_force(self, c_sum):
+        """With sizes 1-3, some combinations of up to c_sum copies overflow
+        the pool and are skipped; the optimum is still the cheapest of the
+        2**9 memberships that fit it."""
+        rng = np.random.default_rng(int(c_sum))
+        rates = rng.integers(1, 6, size=(3, 3)).astype(float)
+        inst = make_instance(path_topology(3), 3, 0.8, rates, c_sum, sizes=[1, 2, 3])
+        fits, overflows = [], 0
+        for bits in itertools.product((False, True), repeat=9):
+            x = np.array(bits).reshape(3, 3)
+            used = float((x @ inst.catalog.sizes).sum())
+            if used <= c_sum:
+                fits.append(placement_cost(Placement(x, np.zeros(3)), inst))  # cost reads only x
+            overflows += sum(bits) <= c_sum < used  # enumerated, then pruned
+        assert overflows > 0
+        result = exact_solve(inst)
+        assert result.cost == min(fits)
+        assert check_feasibility(result.placement, inst) == []
+        assert placement_cost(result.placement, inst) == result.cost
 
     def test_budgets_sum_to_pool(self):
         rng = np.random.default_rng(9)
@@ -465,10 +495,10 @@ class TestGreedy:
 
     def test_single_node_caches_popular_object(self):
         edges = frozenset([(0, 1)])
-        topo = Topology(2, edges, all_pairs_hops(2, edges), 0, 3)
+        topo = Topology(edges, all_pairs_hops(2, edges), 0, 3)
         rates = np.array([[0.9, 0.1], [0.0, 0.0]])
         rates[1, 0] = 1e-9  # keep demand matrix valid but concentrated at node 0
-        catalog = Catalog(2, np.ones(2), 0.0, np.array([0.9, 0.1]))
+        catalog = Catalog(np.ones(2), np.array([0.9, 0.1]))
         inst = Instance(topo, catalog, DemandMatrix(rates), 1.0)
         result = greedy_solve(inst)
         assert result.placement.x[0, 0]
@@ -550,7 +580,7 @@ def telemetry_instance(n, m, topo_seed, fraction=0.10, smoothing=1.0, max_size=1
     catalog = Catalog.uniform_sizes(m, 0.8)
     if max_size > 1:
         sizes = np.random.default_rng(seed + 1).integers(1, max_size + 1, size=m).astype(float)
-        catalog = Catalog(m, sizes, 0.8, catalog.popularity)
+        catalog = Catalog(sizes, catalog.popularity)
     rng = np.random.default_rng(seed)
     counts = np.zeros((n, m))
     np.add.at(counts, (rng.integers(0, n, 30000), rng.choice(m, 30000, p=catalog.popularity)), 1.0)
@@ -601,7 +631,7 @@ class TestLocalSearch:
                                    max_size=3 if three else 2)
             if trial % 3 == 0:  # a free origin ties routers at the origin's attachment point
                 topo = inst.topology
-                inst = Instance(Topology(topo.node_count, topo.edges, topo.hop_matrix, topo.origin_attach, 0),
+                inst = Instance(Topology(topo.edges, topo.hop_matrix, topo.origin_attach, 0),
                                 inst.catalog, inst.demand, inst.c_sum)
             if trial < 300 or three and trial % 2:
                 inst = integer_rates(inst)
@@ -691,8 +721,7 @@ class TestSolvePipeline:
         rng = np.random.default_rng(18)
         for _ in range(20):
             inst = random_instance(rng)
-            topo0 = Topology(inst.topology.node_count, inst.topology.edges,
-                             inst.topology.hop_matrix, inst.topology.origin_attach, 0)
+            topo0 = Topology(inst.topology.edges, inst.topology.hop_matrix, inst.topology.origin_attach, 0)
             free_origin = Instance(topo0, inst.catalog, inst.demand, inst.c_sum)
             assert exact_solve(free_origin).cost <= exact_solve(inst).cost + 1e-9
 

@@ -47,8 +47,8 @@ from util import nearest_assignment, nearest_supplier, random_instance, referenc
 
 def path_instance(n, m, alpha=0.5, origin_attach=0, penalty=3, c_sum=0.0):
     edges = frozenset((i, i + 1) for i in range(n - 1))
-    topo = Topology(n, edges, all_pairs_hops(n, edges), origin_attach, penalty)
-    catalog = Catalog(m, np.ones(m), alpha, zipf_popularity(m, alpha))
+    topo = Topology(edges, all_pairs_hops(n, edges), origin_attach, penalty)
+    catalog = Catalog(np.ones(m), zipf_popularity(m, alpha))
     rates = np.tile(catalog.popularity, (n, 1))
     return Instance(topo, catalog, DemandMatrix(rates), c_sum)
 
@@ -370,9 +370,9 @@ class TestAgainstReferenceLCE:
             for (i, j), stops in state.reply_stops.items():
                 assert type(stops) is tuple
                 if j == ORIGIN:
-                    assert stops == tuple(shortest_path(state.next_hop, i, topo.origin_attach))
+                    assert stops == tuple(shortest_path(ref.next_hop, i, topo.origin_attach))
                 else:
-                    assert stops == tuple(shortest_path(state.next_hop, i, j)[:-1])
+                    assert stops == tuple(shortest_path(ref.next_hop, i, j)[:-1])
             assert any(j == ORIGIN for _, j in state.reply_stops) and any(j != ORIGIN for _, j in state.reply_stops)
 
 
@@ -524,10 +524,10 @@ class TestApplyPlacement:
     def test_record_is_the_only_residency(self):
         inst = path_instance(3, 2, c_sum=3.0)
         state = installed(inst, np.zeros((3, 2), dtype=bool), [1.0] * 3)
-        assert not any(hasattr(state, a) for a in ("caches", "holders", "next_hop"))
+        assert not any(hasattr(state, a) for a in ("caches", "holders", "reply_stops"))
         lce = NetworkState(inst, [1.0] * 3, Policy.LFU)
         assert lce.placement is None
-        assert (len(lce.caches), len(lce.holders), lce.next_hop.shape) == (3, 2, (3, 3))
+        assert (len(lce.caches), len(lce.holders), lce.reply_stops.next_hop.shape) == (3, 2, (3, 3))
 
 
 class TestRunEpoch:

@@ -38,11 +38,11 @@ def random_instance(rng, n_max=4, m_max=5, c_max=4, unit_sizes=True, max_size=2)
         m -= 1
     edges = random_connected_edges(rng, n)
     hop = all_pairs_hops(n, edges)
-    topo = Topology(n, edges, hop, origin_attach=int(rng.integers(0, n)),
+    topo = Topology(edges, hop, origin_attach=int(rng.integers(0, n)),
                     origin_penalty=int(rng.integers(0, 4)))
     alpha = float(rng.uniform(0, 1.5))
     sizes = np.ones(m) if unit_sizes else rng.integers(1, max_size + 1, size=m).astype(float)
-    catalog = Catalog(m, sizes, alpha, zipf_popularity(m, alpha))
+    catalog = Catalog(sizes, zipf_popularity(m, alpha))
     rates = rng.uniform(0.0, 5.0, size=(n, m))
     rates[int(rng.integers(0, n)), int(rng.integers(0, m))] += 1.0  # keep demand nonzero
     demand = DemandMatrix(rates)

@@ -132,13 +132,18 @@ def validate_spec(spec: ExperimentSpec) -> list:
         diags.append(f"output: must be a path, got {spec.output!r}")
     if diags:
         return diags
-    # dry-build one config per (value, scheme) to surface SimConfig invariants
+    # dry-build one config per (value, scheme) to surface SimConfig invariants,
+    # each distinct problem once, at the first cell it arises in
+    cells = {}
     for value in spec.values:
         for scheme in map(Scheme, spec.schemes):
             try:
                 spec.config(value, scheme, spec.seeds[0])
             except ValueError as exc:
-                diags.append(f"{spec.sweep}={value}, scheme={scheme.value}: {exc}")
+                cells.setdefault(str(exc), []).append(f"{spec.sweep}={value}, scheme={scheme.value}")
+    for problem, where in cells.items():
+        more = f" and {len(where) - 1} more" if len(where) > 1 else ""
+        diags.append(f"{where[0]}{more}: {problem}")
     return diags
 
 

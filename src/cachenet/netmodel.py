@@ -60,8 +60,17 @@ class Topology:
                                         "zero on the diagonal and >= 1 elsewhere")
         if self.origin_penalty < 0:
             raise InvalidParameterError("origin_penalty must be nonnegative")
+        if int(hop.max()) + int(self.origin_penalty) > 2**53:  # so hop counts stay exact in int64 and float64
+            raise InvalidParameterError("hop_matrix.max() + origin_penalty must be <= 2**53")
         if not (0 <= self.origin_attach < len(hop)):
             raise InvalidParameterError("origin_attach out of range")
+        pairs = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2)
+        adj = np.zeros(hop.shape, dtype=bool)
+        named = pairs.size == 0 or 0 <= pairs.min() <= pairs.max() < len(hop)  # every edge names two routers
+        if named:
+            adj[pairs[:, 0], pairs[:, 1]] = adj[pairs[:, 1], pairs[:, 0]] = True
+        if not (named and np.array_equal(adj, hop == 1)):
+            raise InvalidParameterError("edges must be the hop matrix's hop-1 pairs")
 
     @property
     def node_count(self) -> int:
@@ -82,16 +91,13 @@ class Topology:
 
 @dataclass(eq=False)
 class Catalog:
-    """Content objects, one per entry of ``sizes``, and their rank-ordered popularity."""
+    """Unit-size content objects, one per entry of their rank-ordered ``popularity``."""
 
-    sizes: np.ndarray
     popularity: np.ndarray
 
     def __post_init__(self):
-        if np.ndim(self.sizes) != 1 or np.size(self.sizes) == 0 or np.shape(self.popularity) != np.shape(self.sizes):
-            raise InvalidParameterError("sizes and popularity must be nonempty vectors of one length")
-        if not np.all(np.isfinite(self.sizes) & (self.sizes > 0)):
-            raise InvalidParameterError("all object sizes must be positive and finite")
+        if np.ndim(self.popularity) != 1 or np.size(self.popularity) == 0:
+            raise InvalidParameterError("popularity must be a nonempty vector")
         if not np.all(np.isfinite(self.popularity) & (self.popularity >= 0)):
             raise InvalidParameterError("popularity must be finite and nonnegative")
         if abs(float(self.popularity.sum()) - 1.0) > 1e-9:
@@ -101,11 +107,7 @@ class Catalog:
 
     @property
     def object_count(self) -> int:
-        return len(self.sizes)
-
-    @classmethod
-    def uniform_sizes(cls, object_count: int, alpha: float) -> "Catalog":
-        return cls(np.ones(object_count), zipf_popularity(object_count, alpha))
+        return len(self.popularity)
 
 
 @dataclass(eq=False)
@@ -239,9 +241,9 @@ def save_topology(topology: Topology, path) -> None:
 
 def catalog_to_csv(catalog: Catalog, path) -> None:
     with open(path, "w") as fh:
-        fh.write("object,size,popularity\n")
+        fh.write("object,popularity\n")
         for k in range(catalog.object_count):
-            fh.write(f"{k},{float(catalog.sizes[k])!r},{float(catalog.popularity[k])!r}\n")
+            fh.write(f"{k},{float(catalog.popularity[k])!r}\n")
 
 
 def demand_to_csv(demand: DemandMatrix, path) -> None:

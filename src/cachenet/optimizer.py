@@ -1,9 +1,10 @@
 """Joint content placement and cache-budget optimization.
 
-Minimizes total hop-weighted traffic sum_i sum_k q[i,k] * d(i, supplier) * S[k]
-subject to: one supplier per (node, object); suppliers must hold the object;
-per-node capacity; and a conserved global budget pool. The virtual origin
-holds everything, so every placement admits a feasible assignment.
+Minimizes total hop-weighted traffic sum_i sum_k q[i,k] * d(i, supplier) over
+unit-size objects subject to: one supplier per (node, object); suppliers must
+hold the object; per-node capacity; and a conserved global budget pool of
+copies. The virtual origin holds everything, so every placement admits a
+feasible assignment.
 
 Solvers: exhaustive enumeration (tiny instances, ground truth), greedy
 marginal-gain insertion, and a first-improvement swap local search.
@@ -59,8 +60,8 @@ class InstanceTooLargeError(ValueError):
 class Placement:
     """Cache membership matrix plus per-node budgets.
 
-    x[i, k] is True when object k is resident at router i. Budgets are in
-    size units and must sum to the instance's global pool.
+    x[i, k] is True when object k is resident at router i. Budgets count
+    copies and must sum to the instance's global pool.
     """
 
     x: np.ndarray
@@ -93,14 +94,14 @@ class Instance:
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
-        """Read-only w[i, k] = rates[i, k] * sizes[k], the weight of a hop,
-        rounded to multiples of ``step = 2**(e - 52)``, where ``2**e`` is the
+        """Read-only w[i, k] = rates[i, k], the weight of a hop, rounded to
+        multiples of ``step = 2**(e - 52)``, where ``2**e`` is the
         first power of two above ``sum(w) * max origin distance``. Hop counts
         are whole, so every cost and gain the solvers sum is a whole number of
         steps below about 2**52: exact in float64 in any order (Goldberg
         1991). Integer weights are their own grid while that total is < 2**52;
         a total that is not a finite float, which no grid fits, raises ValueError."""
-        w = self.demand.rates * self.catalog.sizes[None, :]
+        w = self.demand.rates
         top = float(w.sum()) * float(self.topology.origin_distances.max())
         if not math.isfinite(top):
             raise ValueError(f"sum(w) * max origin distance is {top}, not a finite float: the demand has no grid")
@@ -177,8 +178,8 @@ def check_feasibility(placement: Placement, instance: Instance) -> list[str]:
         return [f"membership must be a {instance.n}x{instance.m} boolean matrix, not {x.dtype} {x.shape}"]
     if budgets.shape != (instance.n,) or budgets.dtype.kind not in "iuf" or not np.isfinite(budgets).all():
         return [f"budgets must be {instance.n} finite numbers"]
-    used = x @ instance.catalog.sizes
-    problems = [f"node {i}: resident size {used[i]} exceeds budget {budgets[i]}"
+    used = x.sum(axis=1)
+    problems = [f"node {i}: {used[i]} copies exceed budget {budgets[i]}"
                 for i in np.flatnonzero(used > budgets + 1e-9).tolist()]
     total = float(budgets.sum())
     if abs(total - instance.c_sum) > 1e-9:
@@ -186,9 +187,9 @@ def check_feasibility(placement: Placement, instance: Instance) -> list[str]:
     return problems
 
 
-def _budgets_from_usage(x: np.ndarray, sizes: np.ndarray, c_sum: float) -> np.ndarray:
+def _budgets_from_usage(x: np.ndarray, c_sum: float) -> np.ndarray:
     """Budgets equal to used capacity, slack parked at node 0."""
-    budgets = (x @ sizes).astype(float)
+    budgets = x.sum(axis=1).astype(float)
     budgets[0] += c_sum - budgets.sum()
     return budgets
 
@@ -202,7 +203,6 @@ def exact_solve(instance: Instance) -> SolveResult:
     n, m, c_sum = instance.n, instance.m, instance.c_sum
     if n * m > 20 or c_sum > 6:
         raise InstanceTooLargeError(f"exact_solve guard: n*m={n * m}, c_sum={c_sum}")
-    sizes = [float(s) for s in instance.catalog.sizes]
     w = instance.weights.tolist()
     hop = instance.topology.hop_matrix.tolist()
     dorg = [float(d) for d in instance.topology.origin_distances]
@@ -225,19 +225,15 @@ def exact_solve(instance: Instance) -> SolveResult:
                 total += wi[k] * d
         return total
 
-    min_size = min(sizes)
-    max_copies = int(c_sum // min_size)
     best_cost, best_bits = cost_of(()), (0,) * (n * m)
-    for r in range(1, max_copies + 1):
+    for r in range(1, int(c_sum) + 1):
         for combo in itertools.combinations(range(n * m), r):
-            if sum(sizes[cells[ci][1]] for ci in combo) > c_sum + 1e-9:
-                continue
             bits = [0] * (n * m)
             for ci in combo:
                 bits[ci] = 1
             best_cost, best_bits = min((best_cost, best_bits), (cost_of(combo), tuple(bits)))
     x = np.array(best_bits, dtype=bool).reshape(n, m)
-    placement = Placement(x, _budgets_from_usage(x, instance.catalog.sizes, c_sum))
+    placement = Placement(x, _budgets_from_usage(x, c_sum))
     return SolveResult(placement, best_cost)
 
 
@@ -253,51 +249,42 @@ def _gains(qs: np.ndarray, dist: np.ndarray, hop: np.ndarray, saved: np.ndarray)
     return np.matmul(qs, buf)
 
 
-def _greedy_entry(gain: np.ndarray, size: float, k: int) -> tuple:
-    """Heap key of object k's best copy: the best gain per size unit first,
-    then the higher gain, the lower router, the lower object."""
+def _greedy_entry(gain: np.ndarray, k: int) -> tuple:
+    """Heap key of object k's best copy: the best gain first, then the lower
+    router, the lower object."""
     j = int(gain.argmax())  # argmax keeps the lowest router
-    g = float(gain[j])
-    return -g / size, -g, j, k
+    return -float(gain[j]), j, k
 
 
 def greedy_solve(instance: Instance) -> SolveResult:
-    """Greedy: repeatedly add the copy with the best gain per size unit, ties
-    to the higher gain, then the lower router, then the lower object.
+    """Greedy: add the copy with the best gain, ties to the lower router,
+    then the lower object, until the pool's floor(c_sum) copies are placed
+    or no copy gains.
 
     A heap holds each object's best copy. A copy changes only its object's
     distances, so a pick rescores only that object's entry and every other
-    entry stays exact; the pool only shrinks, so an entry that no longer
-    fits is dropped for good."""
+    entry stays exact."""
     n, m = instance.n, instance.m
     hop = instance.topology.hop_matrix.astype(float)
     dorg = instance.topology.origin_distances.astype(float)
-    sizes = instance.catalog.sizes
-    size = sizes.tolist()
     wt = instance.weights.T
     x = np.zeros((n, m), dtype=bool)
     curdist = np.tile(dorg, (m, 1))  # curdist[k]: object-major, so a pick updates one row
     saved = np.empty((1, n, n))
     first = wt @ np.maximum(dorg[:, None] - hop, 0.0)  # every object starts from the origin's distances
-    heap = [_greedy_entry(first[k], size[k], k) for k in range(m)]
+    heap = [_greedy_entry(first[k], k) for k in range(m)]
     heapq.heapify(heap)
-    pool = float(instance.c_sum)
-    smallest = min(size)
-    while heap and smallest <= pool + 1e-9:  # else no object fits
-        _, neg_gain, j, k = heap[0]
-        if size[k] > pool + 1e-9:
-            heapq.heappop(heap)
-            continue
+    for _ in range(int(instance.c_sum)):
+        neg_gain, j, k = heap[0]
         if neg_gain >= 0:
             break
         x[j, k] = True
-        pool -= size[k]
         np.minimum(curdist[k], hop[j], out=curdist[k])  # hop is symmetric
         # a holder's gain is exactly 0, so it is the best copy only when no
         # copy gains, and then the entry is never picked: no mask needed
         gain = _gains(wt[k, None, None], curdist[k, None, :, None], hop, saved)[0, 0]
-        heapq.heapreplace(heap, _greedy_entry(gain, size[k], k))
-    out = Placement(x, _budgets_from_usage(x, sizes, instance.c_sum))
+        heapq.heapreplace(heap, _greedy_entry(gain, k))
+    out = Placement(x, _budgets_from_usage(x, instance.c_sum))
     return SolveResult(out, _traffic(curdist.T, instance))
 
 
@@ -338,7 +325,8 @@ def _drop_prices(qs, curdist, after, hop, r_ix, k_ix, starts):
 
 def local_search(instance: Instance, placement: Placement, max_iters: int) -> SolveResult:
     """First-improvement swap pass: drop one resident copy, add one absent
-    copy that fits the freed capacity plus pool slack.
+    copy. A swap keeps the number of copies, so a start above the pool makes
+    none.
 
     Scans residents in (node, object) order and applies the first improving
     swap, restarting until no swap improves or ``max_iters`` swaps applied.
@@ -347,15 +335,15 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
     is i, to their runner-up, so every resident's loss and best same-object
     re-insertion gain follow from per-object state, and a whole pass is one
     masked comparison of every resident's loss against the best insertion
-    gain that fits the room it frees. A swap reprices only its two objects.
+    gain. A swap reprices only its two objects.
     """
     n, m = instance.n, instance.m
     hop = instance.topology.hop_matrix.astype(float)
     dorg = instance.topology.origin_distances.astype(float)
-    sizes = instance.catalog.sizes
     qs = instance.weights
     x = placement.x.copy()
-    slack = float(instance.c_sum - (x @ sizes).sum())
+    if x.sum() > instance.c_sum:
+        max_iters = 0
     curdist = np.empty((n, m))  # curdist[r, k] = r's distance to the nearest copy of k
     gains = np.empty((n, m))  # gains[j, k] = objective decrease from adding a copy of k at router j
     near = np.empty((n, m), dtype=int)
@@ -391,18 +379,12 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
 
     for start in range(0, m, step):
         reprice(np.arange(start, min(start + step, m)))
-    by_size = np.argsort(sizes, kind="stable")
-    sorted_sizes = sizes[by_size]
     applied = 0
     while applied < max_iters:
-        room = slack + sizes  # capacity once a copy of k is dropped
-        # other[k] = best insertion gain of an object no larger than room[k], -inf
-        # if none is (a start above the pool); k itself may be that best, since
-        # then same >= colmax[k] (dropping a copy only raises gains)
-        fits = np.searchsorted(sorted_sizes, room + 1e-9, side="right")
-        other = np.concatenate(([-np.inf], np.maximum.accumulate(colmax[by_size])))[fits]
-        same = np.where(sizes <= room + 1e-9, regain, -np.inf)
-        first = np.flatnonzero(x & (np.maximum(other, same) > loss))
+        # a resident's best swap gains max(best insertion gain, its own re-insertion
+        # gain); colmax[k] may be that best, since regain[:, k] >= colmax[k] (dropping
+        # a copy only raises gains)
+        first = np.flatnonzero(x & (np.maximum(colmax.max(), regain) > loss))
         if not first.size:
             break
         i, k = divmod(int(first[0]), m)
@@ -411,14 +393,12 @@ def local_search(instance: Instance, placement: Placement, max_iters: int) -> So
         if moved.size:  # re-score column k exactly as reprice did for the test
             shift = _drop_prices(qs, curdist, after, hop, moved, k, [0])[1][0]
             delta[:, k] = gains[:, k] + shift - loss[i, k]
-        candidate = ~x & (sizes[None, :] <= room[k] + 1e-9) & (delta > 0)
-        j, k2 = divmod(int(np.flatnonzero(candidate.ravel())[0]), m)
+        j, k2 = divmod(int(np.flatnonzero((~x & (delta > 0)).ravel())[0]), m)
         x[i, k] = False
         x[j, k2] = True
-        slack = slack + float(sizes[k]) - float(sizes[k2])
         reprice(sorted({k, k2}))
         applied += 1
-    out = Placement(x, _budgets_from_usage(x, sizes, instance.c_sum))
+    out = Placement(x, _budgets_from_usage(x, instance.c_sum))
     return SolveResult(out, _traffic(curdist, instance), {"iterations": applied})
 
 

@@ -28,6 +28,7 @@ from .netmodel import (
     build_demand,
     generate_power_law_topology,
     shortest_path,
+    zipf_popularity,
 )
 from .optimizer import (
     ORIGIN,
@@ -132,6 +133,12 @@ class SimConfig:
             raise InvalidParameterError("requests_per_epoch must be positive")
         if self.epochs < 1:
             raise InvalidParameterError("epochs must be positive")
+        # no request travels further than nodes - 1 + origin_penalty hops; below 2**53 every
+        # hop count and sum the cell records is exact in int64 and float64
+        hop_total = (self.nodes - 1 + self.origin_penalty) * self.requests_per_epoch * self.epochs
+        if hop_total > 2**53:
+            raise InvalidParameterError(f"hop total: (nodes - 1 + origin_penalty) x requests_per_epoch x epochs "
+                                        f"is {hop_total:.3g}, above 2**53, where hop sums stop being exact")
         if not 0 <= self.warmup_epochs < self.epochs:
             raise InvalidParameterError("warmup_epochs must be < epochs")
         if not 0 < self.cache_fraction <= 1:
@@ -163,7 +170,8 @@ class SimConfig:
 
 
 class Cache:
-    """Single-router LCE cache; sizes are in the catalog's size units.
+    """Single-router LCE cache of ``capacity`` slots, one object each (a
+    fractional capacity holds its floor).
 
     LFU evicts the lowest count, ties to the lowest object id. Its heap holds
     one (count, object) entry per resident; a hit raises only the count in
@@ -172,13 +180,11 @@ class Cache:
     """
 
     def __init__(self, capacity: float, policy: Policy):
-        self.capacity = float(capacity)
+        self.capacity = int(capacity)
         self.policy = policy
-        # key -> size for LRU (OrderedDict gives recency order),
-        # key -> [freq, size] for LFU
+        # residents in recency order for LRU (OrderedDict), key -> count for LFU
         self._items: OrderedDict = OrderedDict()
         self._heap: list = []
-        self.used = 0.0
 
     def __contains__(self, obj: int) -> bool:
         return obj in self._items
@@ -191,38 +197,32 @@ class Cache:
         if self.policy is Policy.LRU:
             self._items.move_to_end(obj)
         else:
-            self._items[obj][0] += 1
+            self._items[obj] += 1
 
-    def insert(self, obj: int, size: float) -> list:
-        """Insert ``obj``, evicting per policy; returns the evicted objects.
-
-        Objects larger than the whole cache are not admitted.
-        """
+    def insert(self, obj: int) -> list:
+        """Insert ``obj``, evicting one resident per policy when every slot is
+        taken; returns the evicted objects. A cache without slots admits
+        nothing."""
         items = self._items
-        if obj in items or size > self.capacity:
+        if obj in items or self.capacity <= 0:
             return []
         evicted = []
         if self.policy is Policy.LRU:
-            while self.used + size > self.capacity:
-                victim, victim_size = items.popitem(last=False)
-                self.used -= victim_size
-                evicted.append(victim)
-            items[obj] = size
+            if len(items) >= self.capacity:
+                evicted.append(items.popitem(last=False)[0])
+            items[obj] = None
         else:
             heap = self._heap
-            while self.used + size > self.capacity:
+            if len(items) >= self.capacity:
                 count, victim = heap[0]
-                entry = items[victim]
-                if count < entry[0]:  # lags its hits: re-key it and look again
-                    heapq.heapreplace(heap, (entry[0], victim))
-                else:
-                    heapq.heappop(heap)
-                    del items[victim]
-                    self.used -= entry[1]
-                    evicted.append(victim)
-            items[obj] = [1, size]
+                while count < items[victim]:  # lags its hits: re-key it and look again
+                    heapq.heapreplace(heap, (items[victim], victim))
+                    count, victim = heap[0]
+                heapq.heappop(heap)
+                del items[victim]
+                evicted.append(victim)
+            items[obj] = 1
             heapq.heappush(heap, (1, obj))
-        self.used += size
         return evicted
 
 
@@ -291,7 +291,6 @@ class NetworkState:
         # hop(i, j) * n + j orders routers by distance, then by index
         self._key = (instance.topology.hop_matrix * n + np.arange(n)).tolist()
         self._dorg = [int(d) for d in instance.topology.origin_distances]
-        self._sizes = instance.catalog.sizes.tolist()
         self.reply_stops = _ReplyStops(bfs_next_hop(instance.topology.hop_matrix), instance.topology.origin_attach)
 
 
@@ -329,15 +328,14 @@ def handle_request(state: NetworkState, node: int, obj: int) -> int:
         cache.touch(obj)
         return 0
     supplier, hops = _nearest_supplier(state, node, obj)
-    size = state._sizes[obj]
     caches, holders = state.caches, state.holders
     # no stop holds obj (the supplier is the nearest copy), so a stop admits it
-    # exactly when it fits the whole cache
+    # exactly when it has a slot
     for stop in state.reply_stops[node, supplier]:
         cache = caches[stop]
-        for victim in cache.insert(obj, size):
+        for victim in cache.insert(obj):
             holders[victim].discard(stop)
-        if size <= cache.capacity:
+        if cache.capacity > 0:
             holders[obj].add(stop)
     return hops
 
@@ -462,7 +460,7 @@ def _topology(nodes: int, m_attach: int, seed: int, origin_penalty: int):
 def build_instance(config: SimConfig) -> Instance:
     """The cell's true instance: its seeded topology, catalog and uniform demand."""
     topology = _topology(config.nodes, config.m_attach, seed_streams(config)[0], config.origin_penalty)
-    catalog = Catalog.uniform_sizes(config.objects, config.alpha)
+    catalog = Catalog(zipf_popularity(config.objects, config.alpha))
     return Instance(topology, catalog, build_demand(topology, catalog), float(config.c_sum))
 
 

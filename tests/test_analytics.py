@@ -175,7 +175,7 @@ class TestControllerEpoch:
         monkeypatch.setattr(analytics, "solve", overfull)
         config = SimConfig(Scheme.OPTIMIZED, nodes=4, objects=5, cache_fraction=0.2, requests_per_epoch=200,
                            epochs=3, warmup_epochs=1)
-        with pytest.raises(InvalidParameterError, match=r"^infeasible placement: node 0: resident size 5\.0 exceeds"):
+        with pytest.raises(InvalidParameterError, match=r"^infeasible placement: node 0: 5 copies exceed"):
             run_simulation(config)
 
         rng = np.random.default_rng(37)
@@ -186,7 +186,7 @@ class TestControllerEpoch:
         installed, dist = state.placement, state.placement_dist
         log = log_with_counts(np.ones((inst.n, inst.m), dtype=np.int64))
         decision = controller_epoch(log, inst, 1.0)
-        problems = [f"node {i}: resident size {float(inst.m)} exceeds budget 0.0" for i in range(inst.n)]
+        problems = [f"node {i}: {inst.m} copies exceed budget 0.0" for i in range(inst.n)]
         if inst.c_sum:
             problems.append(f"budgets sum to 0.0, pool is {inst.c_sum}")
         with pytest.raises(InvalidParameterError) as raised:

@@ -47,7 +47,9 @@ BAD_SPECS = ([pytest.param("seeds", [2, 2], id="seeds"),
               pytest.param("schemes", ["NO_CACHE", "NO_CACHE"], id="schemes_dup"),
               pytest.param("cache_fraction", 0.5, id="swept_fixed"),
               # the estimate's hop-weighted total overflows a float, and every decision is NaN
-              pytest.param("smoothing", 1e308, id="smoothing_overflow")]
+              pytest.param("smoothing", 1e308, id="smoothing_overflow"),
+              # origin distances wrap in int64, and the run reports 0 hops
+              pytest.param("origin_penalty", 2**63 - 1, id="origin_penalty_hop_total")]
              + [pytest.param(f, v, id=f) for f, v in UNRUNNABLE]
              + [pytest.param(f, v, id=i) for f, v, i in MISTYPED + RETIRED + OVERSIZED])
 
@@ -319,6 +321,17 @@ class TestCli:
         assert main(["validate", str(path)]) == 1
         out = capsys.readouterr().out
         assert out.startswith("INVALID:") and f"{sweep} must be a finite float" in out
+
+    def test_validate_reports_each_problem_once(self, tmp_path, capsys):
+        """A bad fixed field is one problem, however many (value, scheme) cells it breaks."""
+        raw = tiny_spec_dict(alpha=10**400)
+        del raw["schemes"]  # the default schemes: five cells per value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("INVALID: cache_fraction=0.1, scheme=OPTIMIZED and 9 more: alpha must be a finite float")
 
     def test_validate_rejects_per_node_rate(self, tmp_path, capsys):
         """per_node_rate only scaled a demand that no output reads, so it is not a spec key."""

@@ -76,21 +76,27 @@ def assert_lines(source: str) -> list:
 
 
 def weight_products(source: str) -> list:
-    """Lines of a ``*`` with one operand reading ``rates`` and the other
-    ``sizes``, outside ``Instance.weights``, the one place that forms a hop's
-    weight (a name or an attribute of that name counts as a read)."""
+    """Lines of a ``*`` or ``@``, or a numpy product call, with an operand
+    reading ``rates``, outside ``Instance.weights``, the one place that forms
+    a hop's weight (a name or an attribute of that name counts as a read):
+    a cost, gain or metric that weighs hops by ``demand.rates`` skips the
+    weights' exact grid."""
     tree = ast.parse(source)
     exempt = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "Instance"
               for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "weights"
               for node in ast.walk(fn)}
 
-    def reads(node, name):
-        return any(getattr(n, "id", None) == name or getattr(n, "attr", None) == name for n in ast.walk(node))
+    def reads_rates(node):
+        return any(getattr(n, "id", None) == "rates" or getattr(n, "attr", None) == "rates" for n in ast.walk(node))
+
+    def operands(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.MatMult)):
+            return [node.left, node.right]
+        name = getattr(node.func, "attr", getattr(node.func, "id", None)) if isinstance(node, ast.Call) else None
+        return node.args if name in ("multiply", "matmul", "dot", "einsum", "inner", "tensordot", "vdot") else []
 
     return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and id(node) not in exempt
-                  and (reads(node.left, "rates") and reads(node.right, "sizes")
-                       or reads(node.left, "sizes") and reads(node.right, "rates")))
+                  if id(node) not in exempt and any(map(reads_rates, operands(node))))
 
 
 def test_detector_finds_unused_import():
@@ -137,17 +143,18 @@ def test_add_at_takes_flat_indices(path):
 
 
 def test_detector_finds_weight_product():
-    source = ("class Instance:\n    def weights(self):\n        return self.demand.rates * self.catalog.sizes\n"
-              "cost = (inst.demand.rates * dist * inst.catalog.sizes[None, :]).sum()\n"
-              "total = (sizes[None, :] * rates).sum()\n"
-              "hops = rates * dist\nused = x @ sizes\nw = inst.weights * dist\n")
-    assert weight_products(source) == [4, 5]
+    source = ("class Instance:\n    def weights(self):\n        return self.demand.rates * 1.0\n"
+              "cost = (inst.demand.rates * dist).sum()\n"
+              "gain = rates.T @ saved\n"
+              "best = np.matmul(instance.demand.rates[:, k], buf)\n"
+              "total = float(rates.sum())\nw = inst.weights * dist\nhit = q[x].sum() / rates.sum()\n")
+    assert weight_products(source) == [4, 5, 6]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_one_weight_product(path):
-    """Only ``Instance.weights`` multiplies rates by sizes; every cost, gain
-    and metric reads its rounded weights."""
+    """No cost, gain or metric weighs hops by ``demand.rates``: each reads
+    ``Instance.weights``, the rates on the instance's exact grid."""
     assert weight_products(path.read_text()) == []
 
 

@@ -106,8 +106,8 @@ def topology(hop, origin_attach=0, origin_penalty=3):
     return Topology(edges, hop, origin_attach, origin_penalty)
 
 
-def catalog(sizes, popularity):
-    return Catalog(np.asarray(sizes, dtype=float), np.asarray(popularity, dtype=float))
+def catalog(popularity):
+    return Catalog(np.asarray(popularity, dtype=float))
 
 
 # one constructor call per range check, and the start of the message it raises
@@ -122,10 +122,16 @@ REJECTED = {
     "topology_origin_attach_high": (lambda: topology(PATH3, origin_attach=3), "origin_attach out of range"),
     "topology_origin_attach_negative": (lambda: topology(PATH3, origin_attach=-1), "origin_attach out of range"),
     "topology_empty": (lambda: topology(np.zeros((0, 0), dtype=int)), "hop_matrix must be a nonempty"),
-    "catalog_popularity_sum": (lambda: catalog([1.0, 1.0], [0.5, 0.4]), "popularity must sum to 1"),
-    "catalog_empty": (lambda: catalog([], []), "sizes and popularity must be nonempty"),
+    "topology_hop_total": (lambda: topology(PATH3, origin_penalty=2**53 - 1),
+                           r"hop_matrix.max\(\) \+ origin_penalty must be <= 2\*\*53"),
+    "topology_edges": (lambda: Topology(frozenset({(0, 1), (1, 2)}), np.array([[0, 1], [1, 0]]), 0),
+                       "edges must be the hop matrix's hop-1 pairs"),
+    "config_hop_total": (lambda: SimConfig(Scheme.NO_CACHE, nodes=8, objects=10, origin_penalty=2**63 - 1,
+                                           requests_per_epoch=100, epochs=2, warmup_epochs=0), "hop total: "),
+    "catalog_popularity_sum": (lambda: catalog([0.5, 0.4]), "popularity must sum to 1"),
+    "catalog_empty": (lambda: catalog([]), "popularity must be a nonempty vector"),
     "demand_all_zero": (lambda: DemandMatrix(np.zeros((2, 3))), "at least one rate must be positive"),
-    "instance_demand_shape": (lambda: Instance(topology(PATH3), catalog([1.0, 1.0], [0.5, 0.5]),
+    "instance_demand_shape": (lambda: Instance(topology(PATH3), catalog([0.5, 0.5]),
                                                DemandMatrix(np.ones((3, 3))), 1.0), "demand shape does not match"),
     "generator_m_attach": (lambda: generate_power_law_topology(4, 0, seed=0), "m_attach must be >= 1"),
 }
@@ -154,19 +160,22 @@ class TestConstructorChecks:
         with pytest.raises(InvalidParameterError):
             Topology(edges, np.array(hop), 0)
 
-    @pytest.mark.parametrize("sizes,popularity", [
-        ([np.nan, 1.0], [0.5, 0.5]),
-        ([np.inf, 1.0], [0.5, 0.5]),
-        ([1.0, 1.0], [np.nan, np.nan]),
-        ([1.0, 1.0], [1.5, -0.5]),
-        ([1.0], [0.5, 0.5]),
-        ([1.0, 1.0], [1.0]),
-        ([1.0, 1.0, 1.0], [0.5, 0.5]),
-    ], ids=["nan_size", "inf_size", "nan_popularity", "negative_popularity",
-            "short_sizes", "short_popularity", "long_sizes"])
-    def test_catalog_rejects(self, sizes, popularity):
+    def test_topology_edges_in_either_order(self):
+        """Edges are unordered pairs: reversed pairs name the same hop-1 pairs,
+        and a pair the hop matrix does not hold is rejected."""
+        topo = Topology(frozenset({(1, 0), (2, 1)}), np.array(PATH3), 0)
+        assert topo.degrees().tolist() == [1, 2, 1]
+        with pytest.raises(InvalidParameterError, match="hop-1 pairs"):
+            Topology(frozenset({(0, 1), (1, 2), (0, 2)}), np.array(PATH3), 0)
+
+    def test_topology_hop_total_at_bound(self):
+        assert topology(PATH3, origin_penalty=2**53 - 2).origin_distances.max() == 2**53
+
+    @pytest.mark.parametrize("popularity", [[np.nan, np.nan], [1.5, -0.5], [[0.5, 0.5]]],
+                             ids=["nan_popularity", "negative_popularity", "matrix_popularity"])
+    def test_catalog_rejects(self, popularity):
         with pytest.raises(InvalidParameterError):
-            Catalog(np.array(sizes), np.array(popularity))
+            Catalog(np.array(popularity))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_demand_rejects_non_finite_rates(self, bad):
@@ -300,25 +309,25 @@ class TestZipf:
 class TestDemand:
     def test_uniform_split(self):
         topo = generate_power_law_topology(2, 1, seed=0)
-        cat = Catalog.uniform_sizes(2, 0.0)
+        cat = Catalog(zipf_popularity(2, 0.0))
         dem = build_demand(topo, cat)
         assert np.allclose(dem.rates, 0.5)
 
     def test_row_sums_equal_rate(self):
         topo = generate_power_law_topology(64, 2, seed=7)
-        cat = Catalog.uniform_sizes(200, 0.8)
+        cat = Catalog(zipf_popularity(200, 0.8))
         dem = build_demand(topo, cat)
         assert np.allclose(dem.rates.sum(axis=1), 1.0)
 
     def test_column_totals(self):
         topo = generate_power_law_topology(3, 1, seed=0)
-        cat = Catalog.uniform_sizes(2, 1.0)
+        cat = Catalog(zipf_popularity(2, 1.0))
         dem = build_demand(topo, cat)
         assert np.allclose(dem.rates.sum(axis=0), [2.0, 1.0])
 
     def test_proportionality(self):
         topo = generate_power_law_topology(5, 2, seed=1)
-        cat = Catalog.uniform_sizes(6, 1.3)
+        cat = Catalog(zipf_popularity(6, 1.3))
         dem = build_demand(topo, cat)
         p = cat.popularity
         for i in range(5):
@@ -336,14 +345,14 @@ class TestInterchange:
 
     def test_catalog_and_demand_csv(self, tmp_path):
         topo = generate_power_law_topology(3, 1, seed=0)
-        cat = Catalog.uniform_sizes(4, 0.8)
+        cat = Catalog(zipf_popularity(4, 0.8))
         dem = build_demand(topo, cat)
         cat_path = tmp_path / "catalog.csv"
         dem_path = tmp_path / "demand.csv"
         catalog_to_csv(cat, cat_path)
         demand_to_csv(dem, dem_path)
         cat_lines = cat_path.read_text().splitlines()
-        assert cat_lines[0] == "object,size,popularity"
+        assert cat_lines[0] == "object,popularity"
         assert len(cat_lines) == 5
         dem_lines = dem_path.read_text().splitlines()
         assert dem_lines[0] == "node,object,rate"

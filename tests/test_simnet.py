@@ -48,7 +48,7 @@ from util import nearest_assignment, nearest_supplier, random_instance, referenc
 def path_instance(n, m, alpha=0.5, origin_attach=0, penalty=3, c_sum=0.0):
     edges = frozenset((i, i + 1) for i in range(n - 1))
     topo = Topology(edges, all_pairs_hops(n, edges), origin_attach, penalty)
-    catalog = Catalog(np.ones(m), zipf_popularity(m, alpha))
+    catalog = Catalog(zipf_popularity(m, alpha))
     rates = np.tile(catalog.popularity, (n, 1))
     return Instance(topo, catalog, DemandMatrix(rates), c_sum)
 
@@ -61,50 +61,48 @@ def installed(inst, x, budgets):
 
 
 class ReferenceLRU:
-    """Dict LRU used as an oracle: insertion order is recency, oldest first."""
+    """Dict LRU used as an oracle: insertion order is recency, oldest first;
+    at most ``capacity`` objects, and none when it is below one."""
 
     def __init__(self, capacity):
-        self.capacity = float(capacity)
-        self.items = {}  # key -> size
-        self.used = 0.0
+        self.capacity = capacity
+        self.items = {}  # key -> None
 
     def touch(self, obj):
         self.items[obj] = self.items.pop(obj)
 
-    def insert(self, obj, size):
-        if obj in self.items or size > self.capacity:
+    def insert(self, obj):
+        if obj in self.items or self.capacity < 1:
             return []
         evicted = []
-        while self.used + size > self.capacity:
+        while len(self.items) + 1 > self.capacity:
             victim = next(iter(self.items))
-            self.used -= self.items.pop(victim)
+            del self.items[victim]
             evicted.append(victim)
-        self.items[obj] = size
-        self.used += size
+        self.items[obj] = None
         return evicted
 
 
 class ReferenceLFU:
-    """Linear-scan LFU used as an oracle: lowest count, ties to the lowest id."""
+    """Linear-scan LFU used as an oracle: lowest count, ties to the lowest id;
+    at most ``capacity`` objects, and none when it is below one."""
 
     def __init__(self, capacity):
-        self.capacity = float(capacity)
-        self.items = {}  # key -> [freq, size], in insertion order
-        self.used = 0.0
+        self.capacity = capacity
+        self.items = {}  # key -> [freq], in insertion order
 
     def touch(self, obj):
         self.items[obj][0] += 1
 
-    def insert(self, obj, size):
-        if obj in self.items or size > self.capacity:
+    def insert(self, obj):
+        if obj in self.items or self.capacity < 1:
             return []
         evicted = []
-        while self.used + size > self.capacity:
+        while len(self.items) + 1 > self.capacity:
             victim = min(self.items, key=lambda o: (self.items[o][0], o))
-            self.used -= self.items.pop(victim)[1]
+            del self.items[victim]
             evicted.append(victim)
-        self.items[obj] = [1, size]
-        self.used += size
+        self.items[obj] = [1]
         return evicted
 
 
@@ -115,7 +113,6 @@ class ReferenceLCE:
 
     def __init__(self, inst, capacities, policy):
         self.topology = inst.topology
-        self.sizes = inst.catalog.sizes
         make = ReferenceLRU if policy is Policy.LRU else ReferenceLFU
         self.caches = [make(c) for c in capacities]
         self.holders = [set() for _ in range(inst.m)]
@@ -137,14 +134,14 @@ class ReferenceLCE:
         tail = topo.origin_attach if supplier == ORIGIN else supplier
         for stop in shortest_path(self.next_hop, node, tail):
             had = obj in self.caches[stop].items
-            evicted = self.caches[stop].insert(obj, float(self.sizes[obj]))
+            evicted = self.caches[stop].insert(obj)
             if obj in self.caches[stop].items:
                 self.holders[obj].add(stop)
                 self.admitted += not had
             for victim in evicted:
                 self.holders[victim].discard(stop)
             self.evicted += len(evicted)
-            self.refused += self.sizes[obj] > self.caches[stop].capacity
+            self.refused += self.caches[stop].capacity < 1
         return hops, False
 
 
@@ -160,24 +157,24 @@ class TestCache:
                     cache.touch(obj)
                     ref.touch(obj)
                 else:
-                    assert cache.insert(obj, 1.0) == ref.insert(obj, 1.0)
+                    assert cache.insert(obj) == ref.insert(obj)
                 assert cache.residents() == list(ref.items)
 
     def test_lfu_evicts_least_frequent(self):
         cache = Cache(2, Policy.LFU)
-        cache.insert(1, 1.0)
+        cache.insert(1)
         cache.touch(1)
         cache.touch(1)
-        cache.insert(2, 1.0)
-        evicted = cache.insert(3, 1.0)
+        cache.insert(2)
+        evicted = cache.insert(3)
         assert evicted == [2]
         assert sorted(cache.residents()) == [1, 3]
 
     def test_lfu_tie_breaks_to_lowest_id(self):
         cache = Cache(2, Policy.LFU)
-        cache.insert(5, 1.0)
-        cache.insert(2, 1.0)
-        evicted = cache.insert(9, 1.0)
+        cache.insert(5)
+        cache.insert(2)
+        evicted = cache.insert(9)
         assert evicted == [2]
 
     def test_lfu_matches_linear_scan_reference(self):
@@ -185,7 +182,6 @@ class TestCache:
         for trial in range(2000):
             capacity = int(rng.integers(1, 21))
             universe = int(rng.integers(2, 3 * capacity + 3))
-            sizes = np.ones(universe) if trial % 2 else rng.integers(1, 3, size=universe).astype(float)
             if trial % 4 < 2:  # Zipf-like: a few objects take most requests
                 p = 1.0 / np.arange(1, universe + 1) ** rng.uniform(0.6, 1.4)
                 stream = rng.choice(universe, size=150, p=p / p.sum())
@@ -198,9 +194,9 @@ class TestCache:
                     cache.touch(obj)
                     ref.touch(obj)
                 else:
-                    assert cache.insert(obj, sizes[obj]) == ref.insert(obj, sizes[obj])
+                    assert cache.insert(obj) == ref.insert(obj)
                 assert cache.residents() == list(ref.items)
-                assert cache.used == ref.used
+                assert len(cache.residents()) <= capacity
                 assert sorted(resident for _, resident in cache._heap) == sorted(ref.items)
                 assert all(count <= ref.items[resident][0] for count, resident in cache._heap)
 
@@ -208,7 +204,7 @@ class TestCache:
         rng = np.random.default_rng(12)
         cache = Cache(10, Policy.LFU)
         for obj in range(10):
-            cache.insert(obj, 1.0)
+            cache.insert(obj)
         for obj in rng.integers(0, 10, size=10_000).tolist():
             cache.touch(obj)
             assert len(cache._heap) == len(cache.residents())
@@ -221,14 +217,15 @@ class TestCache:
                 if obj in cache:
                     cache.touch(obj)
                 else:
-                    cache.insert(obj, 1.0)
-                assert cache.used <= cache.capacity
+                    cache.insert(obj)
+                assert len(cache.residents()) <= cache.capacity
                 assert len(cache.residents()) == len(set(cache.residents()))
 
-    def test_oversized_object_not_admitted(self):
-        cache = Cache(2, Policy.LRU)
-        cache.insert(1, 5.0)
-        assert 1 not in cache
+    def test_zero_slot_cache_admits_nothing(self):
+        for policy in (Policy.LRU, Policy.LFU):
+            cache = Cache(0, policy)
+            assert cache.insert(1) == []
+            assert 1 not in cache and cache.residents() == []
 
 
 class TestHandleRequest:
@@ -282,16 +279,16 @@ class TestHandleRequest:
         for policy in (Policy.LRU, Policy.LFU):
             state = NetworkState(inst, [1.0, 2.0, 1.0], policy)
             for obj in (0, 1):
-                state.caches[1].insert(obj, 1.0)
+                state.caches[1].insert(obj)
                 state.holders[obj].add(1)
             assert handle_request(state, 0, 0) == 1
             assert state.caches[1].residents() == [0, 1]
-            assert state.caches[1].insert(2, 1.0) == [0]  # object 0 is still the victim
+            assert state.caches[1].insert(2) == [0]  # object 0 is still the victim
 
     def test_holders_match_cache_contents(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
-            inst = random_instance(rng, n_max=8, m_max=6, unit_sizes=False)
+            inst = random_instance(rng, n_max=8, m_max=6)
             capacities = rng.integers(0, 4, size=inst.n).astype(float)
             for policy in (Policy.LRU, Policy.LFU):
                 state = NetworkState(inst, capacities, policy)
@@ -309,7 +306,7 @@ class TestAgainstReferenceLCE:
         rng = np.random.default_rng(57)
         totals = dict(admitted=0, evicted=0, refused=0, from_routers=0)
         for trial in range(200):
-            inst = random_instance(rng, n_max=8, m_max=6, unit_sizes=trial % 4 == 0, max_size=3)
+            inst = random_instance(rng, n_max=8, m_max=6)
             penalty = 0 if trial % 2 else 3
             inst = Instance(replace(inst.topology, origin_penalty=penalty), inst.catalog, inst.demand, inst.c_sum)
             capacities = rng.integers(0, 4, size=inst.n).astype(float)
@@ -320,7 +317,7 @@ class TestAgainstReferenceLCE:
                 hit = k in state.caches[i]
                 assert (handle_request(state, i, k), hit) == ref.request(i, k), trial
                 assert [c.residents() for c in state.caches] == [list(c.items) for c in ref.caches], trial
-                assert [c.used for c in state.caches] == [c.used for c in ref.caches], trial
+                assert all(len(c.residents()) <= c.capacity for c in state.caches), trial
                 assert state.holders == ref.holders, trial
             for key in totals:
                 totals[key] += getattr(ref, key)
@@ -337,9 +334,9 @@ class TestAgainstReferenceLCE:
             seen["requests"] += 1
             return serve(*args)
 
-        def counted_insert(cache, obj, size):
+        def counted_insert(cache, obj):
             had = obj in cache
-            evicted = insert(cache, obj, size)
+            evicted = insert(cache, obj)
             seen["admitted"] += not had and obj in cache
             seen["evicted"] += len(evicted)
             return evicted
@@ -405,7 +402,7 @@ class TestNearestSupplier:
     def test_matches_kernel_at_desk_scale(self):
         """64 routers, so keys hop * n + j span several multiples of n."""
         rng = np.random.default_rng(64)
-        catalog = Catalog.uniform_sizes(40, 0.8)
+        catalog = Catalog(zipf_popularity(40, 0.8))
         base = generate_power_law_topology(64, 2, 7)
         for penalty in (0, 3):
             topo = replace(base, origin_penalty=penalty)
@@ -570,7 +567,7 @@ class TestRunEpoch:
         rng = np.random.default_rng(41)
         zero_hop_misses = 0
         for trial in range(40):
-            inst = random_instance(rng, n_max=8, m_max=6, unit_sizes=trial % 2 == 0)
+            inst = random_instance(rng, n_max=8, m_max=6)
             if trial % 3 == 0:  # a miss at the origin attachment then costs 0 hops
                 inst = Instance(replace(inst.topology, origin_penalty=0), inst.catalog, inst.demand, inst.c_sum)
             n, m = inst.n, inst.m
@@ -608,10 +605,9 @@ class TestRunEpoch:
         rng = np.random.default_rng(43)
         zero_hop_misses = local_hits = 0
         for trial in range(40):
-            inst = random_instance(rng, n_max=8, m_max=6, unit_sizes=trial % 2 == 0, max_size=3)
-            sizes = inst.catalog.sizes
+            inst = random_instance(rng, n_max=8, m_max=6)
             topo = replace(inst.topology, origin_penalty=0) if trial % 3 == 0 else inst.topology
-            inst = Instance(topo, inst.catalog, inst.demand, float(inst.n * sizes.sum()))
+            inst = Instance(topo, inst.catalog, inst.demand, float(inst.n * inst.m))
             n, m = inst.n, inst.m
             hop, dorg = topo.hop_matrix.tolist(), topo.origin_distances.tolist()
             cfg = SimConfig(Scheme.RANDOM_STATIC, nodes=n, objects=m, m_attach=1, requests_per_epoch=150,
@@ -620,7 +616,7 @@ class TestRunEpoch:
             counts, hits, hops = ([[0] * m for _ in range(n)] for _ in range(3))
             for epoch in range(2):  # a fresh placement each epoch; telemetry accumulates
                 x = rng.random((n, m)) < rng.uniform(0.0, 0.7)
-                budgets = x @ sizes
+                budgets = x.sum(axis=1).astype(float)
                 budgets[0] += inst.c_sum - budgets.sum()
                 apply_placement(state, Placement(x, budgets))
                 metrics = run_epoch(cfg, state, np.random.default_rng(trial * 2 + epoch))
@@ -662,11 +658,10 @@ class TestRunEpoch:
         """The vectorised deterministic epoch equals a per-pair sum over nearest copies."""
         rng = np.random.default_rng(31)
         for trial in range(120):
-            inst = random_instance(rng, n_max=8, m_max=6, unit_sizes=trial % 3 != 0)
+            inst = random_instance(rng, n_max=8, m_max=6)
             topo = replace(inst.topology, origin_penalty=0) if trial % 2 else inst.topology
             x = rng.random((inst.n, inst.m)) < rng.uniform(0.0, 0.7)
-            sizes = inst.catalog.sizes
-            budgets = x @ sizes
+            budgets = x.sum(axis=1).astype(float)
             inst = Instance(topo, inst.catalog, inst.demand, float(budgets.sum()))
             state = installed(inst, x, budgets)
             metrics = deterministic_epoch(state)
@@ -675,8 +670,8 @@ class TestRunEpoch:
             total_w = hop_w = req_w = hit_w = 0.0
             for i in range(inst.n):
                 for k in range(inst.m):
-                    total_w += q[i, k] * sizes[k]
-                    hop_w += q[i, k] * sizes[k] * dist[i, k]
+                    total_w += q[i, k]
+                    hop_w += q[i, k] * dist[i, k]
                     req_w += q[i, k]
                     hit_w += q[i, k] if x[i, k] else 0.0
             assert metrics.avg_hops == pytest.approx(hop_w / total_w, rel=1e-12)
@@ -832,6 +827,22 @@ class TestRunSimulation:
         expected = float((counts * dorg).sum()) / counts.sum()
         assert report.avg_hops == pytest.approx(expected, abs=1e-12)
         assert report.hit_ratio == 0.0
+
+    def test_no_cache_hops_exact_at_hop_total_bound(self):
+        """At the largest hop total SimConfig accepts, every NO_CACHE request
+        records its origin distance exactly; one more penalty hop is rejected."""
+        cell = dict(nodes=8, objects=10, requests_per_epoch=100, epochs=2, warmup_epochs=0)
+        penalty = 2**53 // 200 - 7  # (nodes - 1 + penalty) x 200 requests <= 2**53
+        with pytest.raises(InvalidParameterError, match="^hop total: "):
+            SimConfig(Scheme.NO_CACHE, origin_penalty=penalty + 1, **cell)
+        cfg = SimConfig(Scheme.NO_CACHE, origin_penalty=penalty, **cell)
+        report = run_simulation(cfg)
+        tele = report.telemetry
+        dorg = build_instance(cfg).topology.origin_distances
+        assert dorg.min() == penalty
+        assert np.array_equal(tele.hops_accumulated, tele.request_count * dorg[:, None])
+        expected = int((tele.request_count.sum(axis=1) * dorg).sum()) / 200
+        assert report.avg_hops == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_optimized_beats_no_cache(self, seed):

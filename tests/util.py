@@ -29,9 +29,8 @@ def random_connected_edges(rng, n):
     return frozenset(edges)
 
 
-def random_instance(rng, n_max=4, m_max=5, c_max=4, unit_sizes=True, max_size=2):
-    """Random tiny instance within the exact solver's guard; without unit
-    sizes, each object's size is drawn from 1..max_size."""
+def random_instance(rng, n_max=4, m_max=5, c_max=4):
+    """Random tiny instance within the exact solver's guard."""
     n = int(rng.integers(2, n_max + 1))
     m = int(rng.integers(1, m_max + 1))
     while n * m > 20:
@@ -41,8 +40,7 @@ def random_instance(rng, n_max=4, m_max=5, c_max=4, unit_sizes=True, max_size=2)
     topo = Topology(edges, hop, origin_attach=int(rng.integers(0, n)),
                     origin_penalty=int(rng.integers(0, 4)))
     alpha = float(rng.uniform(0, 1.5))
-    sizes = np.ones(m) if unit_sizes else rng.integers(1, max_size + 1, size=m).astype(float)
-    catalog = Catalog(sizes, zipf_popularity(m, alpha))
+    catalog = Catalog(zipf_popularity(m, alpha))
     rates = rng.uniform(0.0, 5.0, size=(n, m))
     rates[int(rng.integers(0, n)), int(rng.integers(0, m))] += 1.0  # keep demand nonzero
     demand = DemandMatrix(rates)

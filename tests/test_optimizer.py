@@ -311,6 +311,25 @@ class TestExactSolve:
         with pytest.raises(InstanceTooLargeError):
             exact_solve(inst)
 
+    @pytest.mark.parametrize("c_sum", [2.0, 4.0, 6.0])
+    def test_size_pool_prune_matches_brute_force(self, c_sum):
+        """exact_solve enumerates only memberships of at most c_sum copies;
+        its optimum is still the cheapest of the 2**9 memberships that fit
+        the pool, and a membership above the pool would cost less."""
+        rng = np.random.default_rng(int(c_sum))
+        rates = rng.integers(1, 6, size=(3, 3)).astype(float)
+        inst = make_instance(path_topology(3), 3, 0.8, rates, c_sum)
+        fits, overflows = [], []
+        for bits in itertools.product((False, True), repeat=9):
+            x = np.array(bits).reshape(3, 3)
+            cost = placement_cost(Placement(x, np.zeros(3)), inst)  # cost reads only x
+            (fits if sum(bits) <= c_sum else overflows).append(cost)
+        result = exact_solve(inst)
+        assert result.cost == min(fits)
+        assert min(overflows) < result.cost
+        assert check_feasibility(result.placement, inst) == []
+        assert placement_cost(result.placement, inst) == result.cost
+
     def test_budgets_sum_to_pool(self):
         rng = np.random.default_rng(9)
         for _ in range(10):

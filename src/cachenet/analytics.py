@@ -1,7 +1,7 @@
 """Control-layer analytics: demand estimation and the controller epoch.
 
 Closes the loop between the switch telemetry and the placement solver:
-per (node, object) request counts become a smoothed demand estimate, the
+per (node, object) request counts become an add-one demand estimate, the
 solver runs on it, and the resulting placement is handed back to the
 harness to install at the epoch boundary.
 """
@@ -29,22 +29,20 @@ class ControllerDecision:
     solver_diagnostics: dict = field(default_factory=dict)
 
 
-def estimate_demand(telemetry_log, smoothing: float) -> np.ndarray:
-    """Additive-smoothed per (node, object) request counts.
+def estimate_demand(telemetry_log) -> np.ndarray:
+    """Per (node, object) request counts plus one (Laplace's add-one rule).
 
-    rates_hat[i, k] = request_count[i, k] + smoothing, so the estimate sums
-    to total_requests + n*m*smoothing (``DemandMatrix`` rejects a zero sum).
+    rates_hat[i, k] = request_count[i, k] + 1, so the estimate sums to
+    total_requests + n*m and an unrequested object keeps some demand.
     """
-    if smoothing < 0:
-        raise ValueError("smoothing must be nonnegative")
-    return np.asarray(telemetry_log.request_count, dtype=float) + smoothing
+    return np.asarray(telemetry_log.request_count, dtype=float) + 1
 
 
-def controller_epoch(telemetry_log, instance: Instance, smoothing: float) -> ControllerDecision:
+def controller_epoch(telemetry_log, instance: Instance) -> ControllerDecision:
     """One control-loop turn: estimate demand, solve it on ``instance``'s
     topology, catalog and pool, emit a directive. ``simnet.apply_placement``
     checks the placement when it installs it."""
-    estimate = replace(instance, demand=DemandMatrix(estimate_demand(telemetry_log, smoothing)))
+    estimate = replace(instance, demand=DemandMatrix(estimate_demand(telemetry_log)))
     result = solve(estimate)
     return ControllerDecision(result.placement, result.cost,
                               {**result.diagnostics, "sample_count": telemetry_log.total_requests})

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .simnet import Scheme, SimConfig, is_number, run_simulation
+from .simnet import Scheme, SimConfig, brief, is_number, run_simulation
 
 __all__ = [
     "ExperimentSpec",
@@ -140,7 +140,7 @@ def validate_spec(spec: ExperimentSpec) -> list:
             try:
                 spec.config(value, scheme, spec.seeds[0])
             except ValueError as exc:
-                cells.setdefault(str(exc), []).append(f"{spec.sweep}={value}, scheme={scheme.value}")
+                cells.setdefault(str(exc), []).append(f"{spec.sweep}={brief(value)}, scheme={scheme.value}")
     for problem, where in cells.items():
         more = f" and {len(where) - 1} more" if len(where) > 1 else ""
         diags.append(f"{where[0]}{more}: {problem}")
@@ -209,20 +209,18 @@ def cache_size_sweep_spec(**overrides) -> ExperimentSpec:
         "sweep": "cache_fraction",
         "values": [round(0.01 * i, 2) for i in range(1, 11)],
         "seeds": list(range(10)),
-        "alpha": 0.8, "nodes": 64, "objects": 200,
         **overrides,
     })
 
 
 def alpha_sweep_spec(**overrides) -> ExperimentSpec:
-    """Popularity sweep at 5% cache: the popularity-aware schemes only,
+    """Popularity sweep at the default 5% cache: the popularity-aware schemes only,
     since the static schemes' hops are flat in the skew."""
     return spec_from_dict({
         "sweep": "alpha",
         "values": [0.4, 0.6, 0.8, 1.0, 1.2],
         "schemes": ["OPTIMIZED", "LCE_LRU", "LCE_LFU"],
         "seeds": list(range(10)),
-        "cache_fraction": 0.05, "nodes": 64, "objects": 200,
         **overrides,
     })
 

@@ -24,6 +24,7 @@ from . import analytics
 from .netmodel import (
     Catalog,
     InvalidParameterError,
+    Topology,
     bfs_next_hop,
     build_demand,
     generate_power_law_topology,
@@ -83,11 +84,19 @@ class Scheme(Enum):
 CELL_TERMS = (("nodes", "router pairs", 64), ("nodes x objects", "(router, object) pairs", 128),
               ("requests_per_epoch", "requests per epoch", 128))
 CELL_BYTES_BOUND = 4 << 30  # a cell estimated above this many bytes is rejected
+M_ATTACH = 2  # edges each new router attaches in the power-law topology (Barabasi & Albert 1999)
 
 
 def is_number(value, kind) -> bool:
     """``value`` is an instance of the ``numbers`` ABC ``kind`` and not a bool."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def brief(value) -> str:
+    """``value``'s repr for a message, or its length and type when the repr runs past 40 characters."""
+    text = repr(value)
+    unit = "digit" if is_number(value, numbers.Integral) else "character"
+    return text if len(text) <= 40 else f"a {len(text.lstrip('-'))}-{unit} {type(value).__name__}"
 
 
 @dataclass
@@ -96,14 +105,11 @@ class SimConfig:
     nodes: int = 64
     objects: int = 200
     alpha: float = 0.8
-    m_attach: int = 2
-    origin_penalty: int = 3
     cache_fraction: float = 0.05
     requests_per_epoch: int = 10_000
     epochs: int = 12
     warmup_epochs: int = 2
     seed: int = 0
-    smoothing: float = 1.0
 
     def __post_init__(self):
         if isinstance(self.scheme, str):
@@ -111,34 +117,25 @@ class SimConfig:
         for f in fields(self):  # types first, so the checks below compare numbers; ints but the seed fit int64
             value = getattr(self, f.name)
             if f.type == "int" and not (is_number(value, numbers.Integral) and (f.name == "seed" or abs(value) < 2**63)):
-                raise InvalidParameterError(f"{f.name} must be a 64-bit integer, got {value!r}")
+                raise InvalidParameterError(f"{f.name} must be a 64-bit integer, got {brief(value)}")
             if f.type == "float" and not (is_number(value, numbers.Real) and abs(value) <= sys.float_info.max):
-                raise InvalidParameterError(f"{f.name} must be a finite float, got {value!r}")
-        if self.m_attach < 1:
-            raise InvalidParameterError("m_attach must be >= 1")
-        if self.nodes < max(2, self.m_attach + 1):
-            raise InvalidParameterError(f"nodes must be >= max(2, m_attach + 1) = {max(2, self.m_attach + 1)}")
+                raise InvalidParameterError(f"{f.name} must be a finite float, got {brief(value)}")
+        if self.nodes <= M_ATTACH:
+            raise InvalidParameterError(f"nodes must be >= {M_ATTACH + 1}")
         if self.objects < 1:
             raise InvalidParameterError("objects must be >= 1")
         if self.alpha < 0:
             raise InvalidParameterError("alpha must be nonnegative")
-        if self.origin_penalty < 0:
-            raise InvalidParameterError("origin_penalty must be nonnegative")
-        # Instance.weights needs the estimate's total (the requests, plus smoothing per router and object)
-        # times at most nodes - 1 + origin_penalty hops to be a finite float; smoothing gets half the range
-        most = 2**1023 // (self.nodes - 1 + self.origin_penalty) / (self.nodes * self.objects)
-        if not 0 <= self.smoothing <= most:
-            raise InvalidParameterError(f"smoothing must be in [0, {most:.3g}]; above, the estimate's weights overflow")
         if self.requests_per_epoch < 1:
             raise InvalidParameterError("requests_per_epoch must be positive")
         if self.epochs < 1:
             raise InvalidParameterError("epochs must be positive")
-        # no request travels further than nodes - 1 + origin_penalty hops; below 2**53 every
-        # hop count and sum the cell records is exact in int64 and float64
-        hop_total = (self.nodes - 1 + self.origin_penalty) * self.requests_per_epoch * self.epochs
+        # no request travels further than nodes - 1 hops plus the origin penalty; below 2**53
+        # every hop count and sum the cell records is exact in int64 and float64
+        hop_total = (self.nodes - 1 + Topology.origin_penalty) * self.requests_per_epoch * self.epochs
         if hop_total > 2**53:
-            raise InvalidParameterError(f"hop total: (nodes - 1 + origin_penalty) x requests_per_epoch x epochs "
-                                        f"is {hop_total:.3g}, above 2**53, where hop sums stop being exact")
+            raise InvalidParameterError(f"hop total: (nodes - 1 + {Topology.origin_penalty}) x requests_per_epoch "
+                                        f"x epochs is {hop_total:.3g}, above 2**53, where hop sums stop being exact")
         if not 0 <= self.warmup_epochs < self.epochs:
             raise InvalidParameterError("warmup_epochs must be < epochs")
         if not 0 < self.cache_fraction <= 1:
@@ -448,18 +445,18 @@ def seed_streams(config: SimConfig) -> tuple:
 
 
 @functools.lru_cache(maxsize=1)
-def _topology(nodes: int, m_attach: int, seed: int, origin_penalty: int):
+def _topology(nodes: int, seed: int):
     """The seeded topology, kept for the next cell: consecutive cells of one
     seed share one build. Its hop matrix is read-only, so no cell can change
     what the next one gets."""
-    topology = generate_power_law_topology(nodes, m_attach, seed, origin_penalty)
+    topology = generate_power_law_topology(nodes, M_ATTACH, seed)
     topology.hop_matrix.setflags(write=False)
     return topology
 
 
 def build_instance(config: SimConfig) -> Instance:
     """The cell's true instance: its seeded topology, catalog and uniform demand."""
-    topology = _topology(config.nodes, config.m_attach, seed_streams(config)[0], config.origin_penalty)
+    topology = _topology(config.nodes, seed_streams(config)[0])
     catalog = Catalog(zipf_popularity(config.objects, config.alpha))
     return Instance(topology, catalog, build_demand(topology, catalog), float(config.c_sum))
 
@@ -497,7 +494,7 @@ def run_simulation(config: SimConfig) -> MetricsReport:
     for epoch in range(config.epochs):
         epoch_metrics.append(run_epoch(config, state, req_rng))
         if config.scheme is Scheme.OPTIMIZED and epoch < config.epochs - 1:
-            decision = analytics.controller_epoch(state.telemetry, instance, config.smoothing)
+            decision = analytics.controller_epoch(state.telemetry, instance)
             apply_placement(state, decision.placement)
 
     measured = epoch_metrics[config.warmup_epochs:]

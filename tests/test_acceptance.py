@@ -205,7 +205,7 @@ def test_criterion_7_closed_loop_convergence():
     for epoch in range(cfg.epochs):
         run_epoch(cfg, state, req_rng)
         if epoch < cfg.epochs - 1:
-            decision = controller_epoch(state.telemetry, inst, cfg.smoothing)
+            decision = controller_epoch(state.telemetry, inst)
             apply_placement(state, decision.placement)
             decision_costs.append(placement_cost(decision.placement, inst))
     converged = all(abs(c - optimum) <= 1e-9 for c in decision_costs)

@@ -28,28 +28,28 @@ from cachenet.simnet import Scheme
 
 # parameters that SimConfig rejects, and that used to pass validation and
 # then raise mid-sweep or report impossible hops
-UNRUNNABLE = [("nodes", 2), ("alpha", -1), ("smoothing", -1), ("origin_penalty", -3)]
+UNRUNNABLE = [("nodes", 2), ("alpha", -1)]
 # values of the wrong type, or numbers no run can use, that used to crash
 # validate with a traceback or pass it and then crash the run
 MISTYPED = [("nodes", "abc", "nodes_str"), ("values", ["0.1"], "values_str"),
             ("nodes", 5.5, "nodes_float"), ("seeds", [0.5], "seeds_float"),
             ("alpha", float("nan"), "alpha_nan"),
-            ("alpha", 10**400, "alpha_huge_int"), ("smoothing", 10**400, "smoothing_huge_int")]
+            ("alpha", 10**400, "alpha_huge_int")]
 # values of a key SimConfig no longer has: validate rejects any of them as an
-# unknown field, whatever the value
+# unknown field, whatever the value, the defaults and values it once refused too
 RETIRED = [("per_node_rate", 0, "per_node_rate"),
-           ("per_node_rate", 5e-324, "per_node_rate_subnormal")]
+           ("per_node_rate", 5e-324, "per_node_rate_subnormal"),
+           ("m_attach", 2, "m_attach"),
+           ("origin_penalty", -3, "origin_penalty"), ("origin_penalty", 2**63 - 1, "origin_penalty_hop_total"),
+           ("smoothing", -1, "smoothing"), ("smoothing", 1e308, "smoothing_overflow"),
+           ("smoothing", 10**400, "smoothing_huge_int")]
 # cells whose arrays no run could hold: rejected from the spec, without running
 OVERSIZED = [("nodes", 200_000, "nodes_oversized"), ("requests_per_epoch", 10**12, "requests_oversized"),
              ("nodes", 10**400, "nodes_huge_int"), ("requests_per_epoch", 10**400, "requests_huge_int")]
 BAD_SPECS = ([pytest.param("seeds", [2, 2], id="seeds"),
               pytest.param("seeds", [0, -1], id="seeds_negative"),
               pytest.param("schemes", ["NO_CACHE", "NO_CACHE"], id="schemes_dup"),
-              pytest.param("cache_fraction", 0.5, id="swept_fixed"),
-              # the estimate's hop-weighted total overflows a float, and every decision is NaN
-              pytest.param("smoothing", 1e308, id="smoothing_overflow"),
-              # origin distances wrap in int64, and the run reports 0 hops
-              pytest.param("origin_penalty", 2**63 - 1, id="origin_penalty_hop_total")]
+              pytest.param("cache_fraction", 0.5, id="swept_fixed")]
              + [pytest.param(f, v, id=f) for f, v in UNRUNNABLE]
              + [pytest.param(f, v, id=i) for f, v, i in MISTYPED + RETIRED + OVERSIZED])
 
@@ -217,13 +217,10 @@ class TestRunExperiment:
 _SIZED = {
     "nodes": st.integers(1, 12),
     "objects": st.integers(1, 20),
-    "m_attach": st.integers(0, 3),
     "alpha": st.floats(-0.1, 2.0),
-    "origin_penalty": st.integers(-1, 4),
     "requests_per_epoch": st.integers(0, 300),
     "epochs": st.integers(1, 2),
     "warmup_epochs": st.integers(0, 2),
-    "smoothing": st.floats(-0.1, 3.0),
     "cache_fraction": st.floats(0.0, 1.1),
 }
 _JUNK = st.sampled_from(["abc", "3", None, True, [1], {}, 1.5, float("nan"), float("inf"), -1])
@@ -272,16 +269,16 @@ class TestRecipes:
         assert spec.sweep == "cache_fraction"
         assert spec.values == [0.01, 0.02, 0.03, 0.04, 0.05,
                                0.06, 0.07, 0.08, 0.09, 0.1]
-        assert spec.fixed["alpha"] == 0.8
-        assert spec.fixed["nodes"] == 64
-        assert spec.fixed["objects"] == 200
+        cell = spec.config(0.05, Scheme.OPTIMIZED, 0)  # SimConfig's defaults
+        assert (cell.alpha, cell.nodes, cell.objects) == (0.8, 64, 200)
         assert validate_spec(spec) == []
 
     def test_alpha_recipe_shape(self):
         spec = alpha_sweep_spec()
         assert spec.sweep == "alpha"
         assert spec.values == [0.4, 0.6, 0.8, 1.0, 1.2]
-        assert spec.fixed["cache_fraction"] == 0.05
+        cell = spec.config(0.8, Scheme.OPTIMIZED, 0)  # SimConfig's defaults
+        assert (cell.cache_fraction, cell.nodes, cell.objects) == (0.05, 64, 200)
         assert Scheme.OPTIMIZED in spec.schemes
         assert validate_spec(spec) == []
 
@@ -315,23 +312,35 @@ class TestCli:
 
     @pytest.mark.parametrize("sweep", ["cache_fraction", "alpha"])
     def test_validate_swept_value_beyond_float(self, tmp_path, capsys, sweep):
-        """A sweep value that no float holds is INVALID in the swept field's name."""
+        """A sweep value that no float holds is INVALID in the swept field's name,
+        on one line that names the value by its size."""
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(tiny_spec_dict(sweep=sweep, values=[10**400])))
         assert main(["validate", str(path)]) == 1
-        out = capsys.readouterr().out
-        assert out.startswith("INVALID:") and f"{sweep} must be a finite float" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and len(lines[0]) <= 160
+        assert lines[0].startswith("INVALID:") and f"{sweep} must be a finite float, got a 401-digit int" in lines[0]
 
     def test_validate_reports_each_problem_once(self, tmp_path, capsys):
-        """A bad fixed field is one problem, however many (value, scheme) cells it breaks."""
+        """A bad fixed field is one problem, however many (value, scheme) cells
+        it breaks, and a value of hundreds of digits is named by its size."""
         raw = tiny_spec_dict(alpha=10**400)
         del raw["schemes"]  # the default schemes: five cells per value
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(raw))
         assert main(["validate", str(path)]) == 1
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("INVALID: cache_fraction=0.1, scheme=OPTIMIZED and 9 more: alpha must be a finite float")
+        assert len(lines) == 1 and len(lines[0]) <= 160
+        assert lines[0] == ("INVALID: cache_fraction=0.1, scheme=OPTIMIZED and 9 more: alpha must be a finite float, "
+                            "got a 401-digit int")
+
+    @pytest.mark.parametrize("field", ["m_attach", "origin_penalty", "smoothing"])
+    def test_validate_rejects_retired_key(self, tmp_path, capsys, field):
+        """A setting that became a constant is an unknown field and nothing else."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(tiny_spec_dict(**{field: 1})))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == f"INVALID: unknown field: {field}\n"
 
     def test_validate_rejects_per_node_rate(self, tmp_path, capsys):
         """per_node_rate only scaled a demand that no output reads, so it is not a spec key."""

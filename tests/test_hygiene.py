@@ -78,16 +78,26 @@ def assert_lines(source: str) -> list:
 def weight_products(source: str) -> list:
     """Lines of a ``*`` or ``@``, or a numpy product call, with an operand
     reading ``rates``, outside ``Instance.weights``, the one place that forms
-    a hop's weight (a name or an attribute of that name counts as a read):
+    a hop's weight (a name or an attribute of that name counts as a read, and
+    so does a name the module binds from a read, as in ``q = demand.rates``):
     a cost, gain or metric that weighs hops by ``demand.rates`` skips the
     weights' exact grid."""
     tree = ast.parse(source)
     exempt = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "Instance"
               for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "weights"
               for node in ast.walk(fn)}
+    # (target, value) of each assignment, a tuple assigned a tuple pairwise
+    bound = [pair for node in ast.walk(tree) if isinstance(node, ast.Assign) and id(node) not in exempt
+             for target in node.targets
+             for pair in (zip(target.elts, node.value.elts) if isinstance(target, ast.Tuple)
+                          and isinstance(node.value, ast.Tuple) else [(target, node.value)])]
+    names = {"rates"}
 
     def reads_rates(node):
-        return any(getattr(n, "id", None) == "rates" or getattr(n, "attr", None) == "rates" for n in ast.walk(node))
+        return any(getattr(n, "id", None) in names or getattr(n, "attr", None) == "rates" for n in ast.walk(node))
+
+    while aliases := {t.id for t, v in bound if isinstance(t, ast.Name) and t.id not in names and reads_rates(v)}:
+        names |= aliases
 
     def operands(node):
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.MatMult)):
@@ -147,8 +157,11 @@ def test_detector_finds_weight_product():
               "cost = (inst.demand.rates * dist).sum()\n"
               "gain = rates.T @ saved\n"
               "best = np.matmul(instance.demand.rates[:, k], buf)\n"
-              "total = float(rates.sum())\nw = inst.weights * dist\nhit = q[x].sum() / rates.sum()\n")
-    assert weight_products(source) == [4, 5, 6]
+              "total = float(rates.sum())\nw = inst.weights * dist\nhit = q[x].sum() / rates.sum()\n"
+              "q = instance.demand.rates\ntraffic = (q * dist).sum()\n"
+              "r = q\nsaved = np.dot(r, hops)\n"
+              "w2, q2 = inst.weights, inst.demand.rates\nmetric = (w2 * dist).sum() / w2.sum() + q2[x].sum() / q2.sum()\n")
+    assert weight_products(source) == [4, 5, 6, 11, 13]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -113,6 +113,9 @@ def catalog(popularity):
 # one constructor call per range check, and the start of the message it raises
 REJECTED = {
     "config_objects": (lambda: SimConfig(Scheme.NO_CACHE, objects=0), "objects must be >= 1"),
+    "config_nodes": (lambda: SimConfig(Scheme.NO_CACHE, nodes=2), "nodes must be >= 3$"),
+    "config_huge_int": (lambda: SimConfig(Scheme.NO_CACHE, nodes=-10**400),
+                        "nodes must be a 64-bit integer, got a 401-digit int$"),
     "config_epochs": (lambda: SimConfig(Scheme.NO_CACHE, epochs=0), "epochs must be positive"),
     "config_cache_fraction_zero": (lambda: SimConfig(Scheme.NO_CACHE, cache_fraction=0.0),
                                    r"cache_fraction must be in \(0, 1\]"),
@@ -126,8 +129,8 @@ REJECTED = {
                            r"hop_matrix.max\(\) \+ origin_penalty must be <= 2\*\*53"),
     "topology_edges": (lambda: Topology(frozenset({(0, 1), (1, 2)}), np.array([[0, 1], [1, 0]]), 0),
                        "edges must be the hop matrix's hop-1 pairs"),
-    "config_hop_total": (lambda: SimConfig(Scheme.NO_CACHE, nodes=8, objects=10, origin_penalty=2**63 - 1,
-                                           requests_per_epoch=100, epochs=2, warmup_epochs=0), "hop total: "),
+    "config_hop_total": (lambda: SimConfig(Scheme.NO_CACHE, nodes=8, objects=10, requests_per_epoch=100,
+                                           epochs=2**53 // 1000 + 1, warmup_epochs=0), "hop total: "),
     "catalog_popularity_sum": (lambda: catalog([0.5, 0.4]), "popularity must sum to 1"),
     "catalog_empty": (lambda: catalog([]), "popularity must be a nonempty vector"),
     "demand_all_zero": (lambda: DemandMatrix(np.zeros((2, 3))), "at least one rate must be positive"),

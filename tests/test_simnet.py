@@ -564,6 +564,7 @@ class TestRunEpoch:
         """Per-pair LCE telemetry and metrics equal a replay of the same draws
         through handle_request, a hit being residency before serving."""
         policy = Policy.LRU if scheme is Scheme.LCE_LRU else Policy.LFU
+        cfg = SimConfig(scheme, requests_per_epoch=150)  # run_epoch reads only the request count
         rng = np.random.default_rng(41)
         zero_hop_misses = 0
         for trial in range(40):
@@ -572,8 +573,6 @@ class TestRunEpoch:
                 inst = Instance(replace(inst.topology, origin_penalty=0), inst.catalog, inst.demand, inst.c_sum)
             n, m = inst.n, inst.m
             capacities = rng.integers(0, 3, size=n).astype(float)
-            cfg = SimConfig(scheme, nodes=n, objects=m, m_attach=1, requests_per_epoch=150,
-                            epochs=2, warmup_epochs=0, cache_fraction=1.0)
             state, twin = NetworkState(inst, capacities, policy), NetworkState(inst, capacities, policy)
             counts, hits, hops = ([[0] * m for _ in range(n)] for _ in range(3))
             for epoch in range(2):  # telemetry accumulates across epochs
@@ -602,6 +601,7 @@ class TestRunEpoch:
         """Pinned-path telemetry and metrics equal a per-request sum over the
         same draws, each request served from its nearest copy or the origin,
         across a re-install between the two epochs."""
+        cfg = SimConfig(Scheme.RANDOM_STATIC, requests_per_epoch=150)  # run_epoch reads only the request count
         rng = np.random.default_rng(43)
         zero_hop_misses = local_hits = 0
         for trial in range(40):
@@ -610,8 +610,6 @@ class TestRunEpoch:
             inst = Instance(topo, inst.catalog, inst.demand, float(inst.n * inst.m))
             n, m = inst.n, inst.m
             hop, dorg = topo.hop_matrix.tolist(), topo.origin_distances.tolist()
-            cfg = SimConfig(Scheme.RANDOM_STATIC, nodes=n, objects=m, m_attach=1, requests_per_epoch=150,
-                            epochs=2, warmup_epochs=0, cache_fraction=1.0)
             state = NetworkState(inst)
             counts, hits, hops = ([[0] * m for _ in range(n)] for _ in range(3))
             for epoch in range(2):  # a fresh placement each epoch; telemetry accumulates
@@ -829,20 +827,27 @@ class TestRunSimulation:
         assert report.hit_ratio == 0.0
 
     def test_no_cache_hops_exact_at_hop_total_bound(self):
-        """At the largest hop total SimConfig accepts, every NO_CACHE request
-        records its origin distance exactly; one more penalty hop is rejected."""
-        cell = dict(nodes=8, objects=10, requests_per_epoch=100, epochs=2, warmup_epochs=0)
-        penalty = 2**53 // 200 - 7  # (nodes - 1 + penalty) x 200 requests <= 2**53
+        """SimConfig accepts a hop total up to 2**53 and rejects one epoch more;
+        at that total every NO_CACHE request records its origin distance
+        exactly, here reached by a far origin instead of many epochs."""
+        cell = dict(nodes=8, objects=10, requests_per_epoch=100, warmup_epochs=0)
+        most = 2**53 // ((8 - 1 + 3) * 100)  # (nodes - 1 + origin penalty) x requests x epochs <= 2**53
         with pytest.raises(InvalidParameterError, match="^hop total: "):
-            SimConfig(Scheme.NO_CACHE, origin_penalty=penalty + 1, **cell)
-        cfg = SimConfig(Scheme.NO_CACHE, origin_penalty=penalty, **cell)
-        report = run_simulation(cfg)
-        tele = report.telemetry
-        dorg = build_instance(cfg).topology.origin_distances
+            SimConfig(Scheme.NO_CACHE, epochs=most + 1, **cell)
+        SimConfig(Scheme.NO_CACHE, epochs=most, **cell)
+        cfg = SimConfig(Scheme.NO_CACHE, epochs=2, **cell)
+        inst = build_instance(cfg)
+        penalty = 2**53 // 200 - 7  # (nodes - 1 + penalty) x 200 requests <= 2**53
+        inst = Instance(replace(inst.topology, origin_penalty=penalty), inst.catalog, inst.demand, inst.c_sum)
+        state = installed(inst, np.zeros((inst.n, inst.m), dtype=bool), np.zeros(inst.n))
+        rng = np.random.default_rng(5)
+        metrics = [run_epoch(cfg, state, rng) for _ in range(cfg.epochs)]
+        tele = state.telemetry
+        dorg = inst.topology.origin_distances
         assert dorg.min() == penalty
         assert np.array_equal(tele.hops_accumulated, tele.request_count * dorg[:, None])
         expected = int((tele.request_count.sum(axis=1) * dorg).sum()) / 200
-        assert report.avg_hops == pytest.approx(expected, rel=1e-15)
+        assert sum(m.avg_hops for m in metrics) / 2 == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_optimized_beats_no_cache(self, seed):

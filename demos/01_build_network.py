@@ -2,17 +2,44 @@
 
 Generates the default 64-router power-law topology, a 200-object Zipf
 catalog, and the demand matrix, then prints a few summary statistics and
-writes the interchange files.
+writes them as plain-text and CSV files: topology.txt, catalog.csv and
+demand.csv.
 """
 
 import numpy as np
 
 from cachenet import Catalog, build_demand, generate_power_law_topology, zipf_popularity
-from cachenet.netmodel import catalog_to_csv, demand_to_csv, save_topology
+
+
+def save_topology(topology, path):
+    """Edge-list text format: header 'nodes N origin A penalty P', then one
+    'i j' pair per line."""
+    with open(path, "w") as fh:
+        fh.write(f"nodes {topology.node_count} origin {topology.origin_attach} "
+                 f"penalty {topology.origin_penalty}\n")
+        for u, v in sorted(topology.edges):
+            fh.write(f"{u} {v}\n")
+
+
+def catalog_to_csv(catalog, path):
+    with open(path, "w") as fh:
+        fh.write("object,popularity\n")
+        for k in range(catalog.object_count):
+            fh.write(f"{k},{float(catalog.popularity[k])!r}\n")
+
+
+def demand_to_csv(demand, path):
+    n, m = demand.rates.shape
+    with open(path, "w") as fh:
+        fh.write("node,object,rate\n")
+        for i in range(n):
+            for k in range(m):
+                fh.write(f"{i},{k},{float(demand.rates[i, k])!r}\n")
+
 
 topology = generate_power_law_topology(n=64, m_attach=2, seed=7)
 print(f"routers: {topology.node_count}, edges: {len(topology.edges)}")
-deg = topology.degrees()
+deg = (topology.hop_matrix == 1).sum(axis=1)  # the hop-1 pairs are the edges
 print(f"degree: min {deg.min()}, median {int(np.median(deg))}, max {deg.max()}")
 print(f"origin attaches at router {topology.origin_attach} "
       f"(+{topology.origin_penalty} hop penalty)")

@@ -25,7 +25,7 @@ from cachenet import (
 topo = generate_power_law_topology(4, 1, seed=3)
 catalog = Catalog(zipf_popularity(5, 1.0))
 demand = build_demand(topo, catalog)
-tiny = Instance(topo, catalog, demand, c_sum=4.0)
+tiny = Instance(topo, catalog, demand, c_sum=4)
 
 exact = exact_solve(tiny)
 pipeline = solve(tiny)
@@ -43,7 +43,7 @@ print("\nfull scale (64 routers, 200 objects):")
 print("  cache %     pool   avg hops   copies   seconds")
 for fraction in (0.01, 0.05, 0.10):
     c_sum = 64 * round(fraction * 200)
-    inst = Instance(topo, catalog, demand, float(c_sum))
+    inst = Instance(topo, catalog, demand, c_sum)
     t0 = time.time()
     result = solve(inst)
     hops = average_hops(result.cost, inst)

@@ -14,6 +14,7 @@ import csv
 import json
 import numbers
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -73,6 +74,8 @@ def load_spec(path) -> ExperimentSpec:
         raise ConfigError([f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}"]) from exc
     except UnicodeDecodeError as exc:
         raise ConfigError([f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"]) from exc
+    except ValueError as exc:  # json's one other ValueError: an integer past Python's str() digit limit
+        raise ConfigError([f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits"]) from exc
     return spec_from_dict(raw)
 
 

@@ -23,9 +23,6 @@ __all__ = [
     "shortest_path",
     "zipf_popularity",
     "build_demand",
-    "save_topology",
-    "catalog_to_csv",
-    "demand_to_csv",
 ]
 
 
@@ -80,13 +77,6 @@ class Topology:
     def origin_distances(self) -> np.ndarray:
         """Hop count from every router to the virtual origin."""
         return self.hop_matrix[:, self.origin_attach] + self.origin_penalty
-
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.node_count, dtype=int)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
 
 
 @dataclass(eq=False)
@@ -226,30 +216,3 @@ def build_demand(topology: Topology, catalog: Catalog) -> DemandMatrix:
     split across objects by catalog popularity."""
     return DemandMatrix(np.tile(catalog.popularity, (topology.node_count, 1)))
 
-
-# --- plain-text / CSV interchange -----------------------------------------
-
-def save_topology(topology: Topology, path) -> None:
-    """Edge-list text format: header 'nodes N origin A penalty P', then one
-    'i j' pair per line."""
-    with open(path, "w") as fh:
-        fh.write(f"nodes {topology.node_count} origin {topology.origin_attach} "
-                 f"penalty {topology.origin_penalty}\n")
-        for u, v in sorted(topology.edges):
-            fh.write(f"{u} {v}\n")
-
-
-def catalog_to_csv(catalog: Catalog, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("object,popularity\n")
-        for k in range(catalog.object_count):
-            fh.write(f"{k},{float(catalog.popularity[k])!r}\n")
-
-
-def demand_to_csv(demand: DemandMatrix, path) -> None:
-    n, m = demand.rates.shape
-    with open(path, "w") as fh:
-        fh.write("node,object,rate\n")
-        for i in range(n):
-            for k in range(m):
-                fh.write(f"{i},{k},{float(demand.rates[i, k])!r}\n")

@@ -17,6 +17,7 @@ import hashlib
 import heapq
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,13 +77,13 @@ class Instance:
     topology: Topology
     catalog: Catalog
     demand: DemandMatrix
-    c_sum: float
+    c_sum: int
 
     def __post_init__(self):
         if self.demand.rates.shape != (self.n, self.m):
             raise ValueError("demand shape does not match topology/catalog")
-        if not (np.isfinite(self.c_sum) and self.c_sum >= 0):
-            raise ValueError("c_sum must be finite and nonnegative")
+        if not (isinstance(self.c_sum, numbers.Integral) and self.c_sum >= 0):
+            raise ValueError("c_sum must be a nonnegative integer: the pool counts copies")
 
     @property
     def n(self) -> int:
@@ -171,25 +172,26 @@ def check_feasibility(placement: Placement, instance: Instance) -> list[str]:
     The assignment constraints (1, 2) are satisfiable for any placement
     because the origin can always supply, so they never appear as
     violations, and a negative budget gets its router's capacity message.
-    Malformed ``x`` or ``budgets`` get one message and no other.
+    Malformed ``x`` or ``budgets`` (not n integers: budgets count copies)
+    get one message and no other.
     """
     x, budgets = np.asarray(placement.x), np.asarray(placement.budgets)
     if x.dtype != bool or x.shape != (instance.n, instance.m):
         return [f"membership must be a {instance.n}x{instance.m} boolean matrix, not {x.dtype} {x.shape}"]
-    if budgets.shape != (instance.n,) or budgets.dtype.kind not in "iuf" or not np.isfinite(budgets).all():
-        return [f"budgets must be {instance.n} finite numbers"]
+    if budgets.shape != (instance.n,) or budgets.dtype.kind not in "iu":
+        return [f"budgets must be {instance.n} integers, not {budgets.dtype} {budgets.shape}"]
     used = x.sum(axis=1)
     problems = [f"node {i}: {used[i]} copies exceed budget {budgets[i]}"
-                for i in np.flatnonzero(used > budgets + 1e-9).tolist()]
-    total = float(budgets.sum())
-    if abs(total - instance.c_sum) > 1e-9:
+                for i in np.flatnonzero(used > budgets).tolist()]
+    total = sum(budgets.tolist())  # Python ints: an int64 sum could wrap onto the pool
+    if total != instance.c_sum:
         problems.append(f"budgets sum to {total}, pool is {instance.c_sum}")
     return problems
 
 
-def _budgets_from_usage(x: np.ndarray, c_sum: float) -> np.ndarray:
+def _budgets_from_usage(x: np.ndarray, c_sum: int) -> np.ndarray:
     """Budgets equal to used capacity, slack parked at node 0."""
-    budgets = x.sum(axis=1).astype(float)
+    budgets = x.sum(axis=1)
     budgets[0] += c_sum - budgets.sum()
     return budgets
 
@@ -226,7 +228,7 @@ def exact_solve(instance: Instance) -> SolveResult:
         return total
 
     best_cost, best_bits = cost_of(()), (0,) * (n * m)
-    for r in range(1, int(c_sum) + 1):
+    for r in range(1, c_sum + 1):
         for combo in itertools.combinations(range(n * m), r):
             bits = [0] * (n * m)
             for ci in combo:
@@ -258,8 +260,8 @@ def _greedy_entry(gain: np.ndarray, k: int) -> tuple:
 
 def greedy_solve(instance: Instance) -> SolveResult:
     """Greedy: add the copy with the best gain, ties to the lower router,
-    then the lower object, until the pool's floor(c_sum) copies are placed
-    or no copy gains.
+    then the lower object, until the pool's c_sum copies are placed or no
+    copy gains.
 
     A heap holds each object's best copy. A copy changes only its object's
     distances, so a pick rescores only that object's entry and every other
@@ -274,7 +276,7 @@ def greedy_solve(instance: Instance) -> SolveResult:
     first = wt @ np.maximum(dorg[:, None] - hop, 0.0)  # every object starts from the origin's distances
     heap = [_greedy_entry(first[k], k) for k in range(m)]
     heapq.heapify(heap)
-    for _ in range(int(instance.c_sum)):
+    for _ in range(instance.c_sum):
         neg_gain, j, k = heap[0]
         if neg_gain >= 0:
             break

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 import numbers
 import sys
 from collections import OrderedDict
@@ -93,10 +94,16 @@ def is_number(value, kind) -> bool:
 
 
 def brief(value) -> str:
-    """``value``'s repr for a message, or its length and type when the repr runs past 40 characters."""
+    """``value``'s repr for a message, or its length and type when the repr runs past 40 characters.
+    An int's digits are counted from its bit length: Python refuses str() past 4,300 digits."""
+    if is_number(value, numbers.Integral):
+        size = abs(int(value))
+        # 2**(b - 1) <= size < 2**b for b bits: size has the digits of 2**(b - 1), or one more
+        digits = int((size.bit_length() - 1) * math.log10(2)) + 1 if size else 1
+        digits += size >= 10 ** digits
+        return repr(value) if digits + (value < 0) <= 40 else f"a {digits}-digit {type(value).__name__}"
     text = repr(value)
-    unit = "digit" if is_number(value, numbers.Integral) else "character"
-    return text if len(text) <= 40 else f"a {len(text.lstrip('-'))}-{unit} {type(value).__name__}"
+    return text if len(text) <= 40 else f"a {len(text.lstrip('-'))}-character {type(value).__name__}"
 
 
 @dataclass
@@ -167,8 +174,8 @@ class SimConfig:
 
 
 class Cache:
-    """Single-router LCE cache of ``capacity`` slots, one object each (a
-    fractional capacity holds its floor).
+    """Single-router LCE cache of ``capacity`` slots, a whole number, one
+    object each.
 
     LFU evicts the lowest count, ties to the lowest object id. Its heap holds
     one (count, object) entry per resident; a hit raises only the count in
@@ -176,8 +183,8 @@ class Cache:
     whose count is current is the minimum.
     """
 
-    def __init__(self, capacity: float, policy: Policy):
-        self.capacity = int(capacity)
+    def __init__(self, capacity: int, policy: Policy):
+        self.capacity = capacity
         self.policy = policy
         # residents in recency order for LRU (OrderedDict), key -> count for LFU
         self._items: OrderedDict = OrderedDict()
@@ -458,23 +465,22 @@ def build_instance(config: SimConfig) -> Instance:
     """The cell's true instance: its seeded topology, catalog and uniform demand."""
     topology = _topology(config.nodes, seed_streams(config)[0])
     catalog = Catalog(zipf_popularity(config.objects, config.alpha))
-    return Instance(topology, catalog, build_demand(topology, catalog), float(config.c_sum))
+    return Instance(topology, catalog, build_demand(topology, catalog), config.c_sum)
 
 
 def _initial_state(config: SimConfig, instance: Instance, place_rng: np.random.Generator) -> NetworkState:
     n, m = instance.n, instance.m
     slots = config.slots_per_node
-    capacities = np.full(n, float(slots))
     if config.scheme in (Scheme.LCE_LRU, Scheme.LCE_LFU):
         policy = Policy.LRU if config.scheme is Scheme.LCE_LRU else Policy.LFU
-        return NetworkState(instance, capacities, policy)
+        return NetworkState(instance, [slots] * n, policy)
     # NO_CACHE has zero slots; OPTIMIZED warms up on an empty placement with equal budgets
     x = np.zeros((n, m), dtype=bool)
     if config.scheme is Scheme.RANDOM_STATIC:
         for i in range(n):
             x[i, place_rng.choice(m, size=slots, replace=False)] = True
     state = NetworkState(instance)
-    apply_placement(state, Placement(x, capacities))
+    apply_placement(state, Placement(x, np.full(n, slots)))
     return state
 
 

@@ -120,8 +120,8 @@ def test_criterion_3_simulator_objective_identity():
     for trial in range(20):
         inst = random_instance(rng, n_max=4, m_max=5, c_max=4)
         x = rng.random((inst.n, inst.m)) < 0.35
-        inst = Instance(inst.topology, inst.catalog, inst.demand, float(x.sum()))
-        budgets = x.sum(axis=1).astype(float)
+        inst = Instance(inst.topology, inst.catalog, inst.demand, int(x.sum()))
+        budgets = x.sum(axis=1)
         placement = Placement(x, budgets)
         state = NetworkState(inst)
         apply_placement(state, placement)
@@ -182,7 +182,7 @@ def test_criterion_6_constraint_suite():
     # cache transition fuzz: capacity invariant after every request
     fuzz = np.random.default_rng(100)
     for policy in (Policy.LRU, Policy.LFU):
-        cache = Cache(6.0, policy)
+        cache = Cache(6, policy)
         for obj in fuzz.integers(0, 50, size=50_000).tolist():
             if obj in cache:
                 cache.touch(obj)
@@ -199,7 +199,7 @@ def test_criterion_7_closed_loop_convergence():
     inst = build_instance(cfg)
     optimum = exact_solve(inst).cost
     state = NetworkState(inst)
-    apply_placement(state, Placement(np.zeros((inst.n, inst.m), dtype=bool), np.full(inst.n, 1.0)))
+    apply_placement(state, Placement(np.zeros((inst.n, inst.m), dtype=bool), np.full(inst.n, 1)))
     req_rng = np.random.default_rng(seed_streams(cfg)[1])
     decision_costs = []
     for epoch in range(cfg.epochs):

@@ -114,7 +114,7 @@ class TestControllerEpoch:
     def test_zero_budget_empty_placement(self):
         rng = np.random.default_rng(32)
         inst = random_instance(rng)
-        inst = Instance(inst.topology, inst.catalog, inst.demand, 0.0)
+        inst = Instance(inst.topology, inst.catalog, inst.demand, 0)
         log = self.sampled_log(inst, 1000, seed=2)
         decision = controller_epoch(log, inst)
         assert not decision.placement.x.any()
@@ -141,7 +141,7 @@ class TestControllerEpoch:
             assert check_feasibility(decision.placement, inst) == []
             est_inst = Instance(inst.topology, inst.catalog,
                                 DemandMatrix(estimate_demand(log)), inst.c_sum)
-            empty = Placement(np.zeros((inst.n, inst.m), dtype=bool), np.r_[inst.c_sum, np.zeros(inst.n - 1)])
+            empty = Placement(np.zeros((inst.n, inst.m), dtype=bool), np.r_[inst.c_sum, np.zeros(inst.n - 1, dtype=int)])
             empty_cost = placement_cost(empty, est_inst)
             assert decision.estimated_cost <= empty_cost + 1e-9
 
@@ -160,7 +160,7 @@ class TestControllerEpoch:
         words, and keeps the placement it had. The check is explicit, so it
         still runs under python -O."""
         def overfull(instance):
-            return SolveResult(Placement(np.ones((instance.n, instance.m), dtype=bool), np.zeros(instance.n)), 0.0)
+            return SolveResult(Placement(np.ones((instance.n, instance.m), dtype=bool), np.zeros(instance.n, dtype=int)), 0.0)
 
         monkeypatch.setattr(analytics, "solve", overfull)
         config = SimConfig(Scheme.OPTIMIZED, nodes=4, objects=5, cache_fraction=0.2, requests_per_epoch=200,
@@ -171,14 +171,14 @@ class TestControllerEpoch:
         rng = np.random.default_rng(37)
         inst = random_instance(rng, c_max=3)
         state = NetworkState(inst)
-        empty = Placement(np.zeros((inst.n, inst.m), dtype=bool), np.r_[inst.c_sum, np.zeros(inst.n - 1)])
+        empty = Placement(np.zeros((inst.n, inst.m), dtype=bool), np.r_[inst.c_sum, np.zeros(inst.n - 1, dtype=int)])
         apply_placement(state, empty)
         installed, dist = state.placement, state.placement_dist
         log = log_with_counts(np.ones((inst.n, inst.m), dtype=np.int64))
         decision = controller_epoch(log, inst)
-        problems = [f"node {i}: {inst.m} copies exceed budget 0.0" for i in range(inst.n)]
+        problems = [f"node {i}: {inst.m} copies exceed budget 0" for i in range(inst.n)]
         if inst.c_sum:
-            problems.append(f"budgets sum to 0.0, pool is {inst.c_sum}")
+            problems.append(f"budgets sum to 0, pool is {inst.c_sum}")
         with pytest.raises(InvalidParameterError) as raised:
             apply_placement(state, decision.placement)
         assert str(raised.value) == "infeasible placement: " + "; ".join(problems)

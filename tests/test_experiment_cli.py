@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import sys
 import tempfile
 
 import pytest
@@ -291,6 +292,13 @@ class TestRecipes:
         with pytest.raises(ConfigError):
             recipe(**overrides)
 
+    def test_recipe_names_int_beyond_str_digits(self):
+        """A recipe override too long for str() is named in its field, by its size, once."""
+        with pytest.raises(ConfigError) as raised:
+            cache_size_sweep_spec(nodes=10**5000)
+        assert raised.value.diagnostics == ["cache_fraction=0.01, scheme=OPTIMIZED and 49 more: "
+                                            "nodes must be a 64-bit integer, got a 5001-digit int"]
+
     def test_recipe_overrides_win(self):
         spec = demo_spec(seeds=[3], output="elsewhere")
         assert (spec.seeds, spec.output) == ([3], "elsewhere")
@@ -384,6 +392,18 @@ class TestCli:
             assert main(argv) == 1
             out = capsys.readouterr().out
             assert out.startswith("INVALID:") and "not UTF-8" in out
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_beyond_parser_digits_invalid(self, tmp_path, capsys):
+        """json refuses an integer past Python's str() digit limit (4,300 by
+        default) with a plain ValueError: one INVALID line and exit 1, for
+        both verbs."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(tiny_spec_dict())[:-1] + ', "alpha": 1' + "0" * 5000 + "}")
+        for argv in (["validate", str(path)], ["run", str(path), "--output", str(tmp_path / "out")]):
+            assert main(argv) == 1
+            limit = sys.get_int_max_str_digits()
+            assert capsys.readouterr().out == f"INVALID: {path}: an integer has more than {limit} digits\n"
         assert not (tmp_path / "out").exists()
 
     def test_demo_unwritable_output(self, tmp_path, capsys):

@@ -74,35 +74,35 @@ def enumerate_feasible_assignments(placement, instance):
 class TestNearestCopyAssignment:
     def test_all_zero_goes_to_origin(self):
         topo = path_topology(3)
-        inst = make_instance(topo, 2, 0.5, np.ones((3, 2)), 0.0)
+        inst = make_instance(topo, 2, 0.5, np.ones((3, 2)), 0)
         placement = Placement(np.zeros((3, 2), dtype=bool), np.zeros(3))
         assign = nearest_assignment(placement, inst)
         assert np.all(assign == ORIGIN)
 
     def test_self_copy_dominates(self):
         topo = path_topology(3)
-        inst = make_instance(topo, 2, 0.5, np.ones((3, 2)), 3.0)
+        inst = make_instance(topo, 2, 0.5, np.ones((3, 2)), 3)
         x = np.zeros((3, 2), dtype=bool)
         x[1, 0] = True
-        budgets = np.array([2.0, 1.0, 0.0])
+        budgets = np.array([2, 1, 0])
         assign = nearest_assignment(Placement(x, budgets), inst)
         assert assign[1, 0] == 1
 
     def test_remote_copy_beats_origin_penalty(self):
         # path 0-1-2, origin at node 0 with penalty 3, copy only at node 2
         topo = path_topology(3, origin_attach=0, penalty=3)
-        inst = make_instance(topo, 1, 0.0, np.ones((3, 1)), 1.0)
+        inst = make_instance(topo, 1, 0.0, np.ones((3, 1)), 1)
         x = np.zeros((3, 1), dtype=bool)
         x[2, 0] = True
-        assign = nearest_assignment(Placement(x, np.array([0.0, 0.0, 1.0])), inst)
+        assign = nearest_assignment(Placement(x, np.array([0, 0, 1])), inst)
         assert assign[1, 0] == 2  # 1 hop beats 1 + 3
 
     def test_router_preferred_over_origin_on_tie(self):
         topo = path_topology(3, origin_attach=0, penalty=0)
-        inst = make_instance(topo, 1, 0.0, np.ones((3, 1)), 1.0)
+        inst = make_instance(topo, 1, 0.0, np.ones((3, 1)), 1)
         x = np.zeros((3, 1), dtype=bool)
         x[0, 0] = True  # router 0 ties the origin exactly
-        assign = nearest_assignment(Placement(x, np.array([1.0, 0.0, 0.0])), inst)
+        assign = nearest_assignment(Placement(x, np.array([1, 0, 0])), inst)
         assert np.all(assign[:, 0] == 0)
 
     def test_optimal_among_all_feasible_assignments(self):
@@ -119,27 +119,27 @@ class TestNearestCopyAssignment:
 class TestObjective:
     def test_everything_everywhere_is_zero(self):
         topo = path_topology(3)
-        inst = make_instance(topo, 2, 0.0, np.ones((3, 2)), 6.0)
+        inst = make_instance(topo, 2, 0.0, np.ones((3, 2)), 6)
         x = np.ones((3, 2), dtype=bool)
-        placement = Placement(x, np.full(3, 2.0))
+        placement = Placement(x, np.full(3, 2))
         assert evaluate_objective(nearest_assignment(placement, inst), inst) == 0.0
 
     def test_two_node_single_copy(self):
         topo = path_topology(2, origin_attach=0, penalty=5)
-        inst = make_instance(topo, 1, 0.0, np.ones((2, 1)), 1.0)
+        inst = make_instance(topo, 1, 0.0, np.ones((2, 1)), 1)
         x = np.array([[True], [False]])
         cost = evaluate_objective(
-            nearest_assignment(Placement(x, np.array([1.0, 0.0])), inst), inst)
+            nearest_assignment(Placement(x, np.array([1, 0])), inst), inst)
         assert cost == 1.0  # node 1 fetches over one hop, node 0 local
 
     def test_matches_brute_force_on_mixed_placements(self):
         rng = np.random.default_rng(3)
         topo = path_topology(3, origin_attach=1, penalty=2)
-        inst = make_instance(topo, 2, 1.0, rng.uniform(0.1, 2.0, (3, 2)), 3.0)
+        inst = make_instance(topo, 2, 1.0, rng.uniform(0.1, 2.0, (3, 2)), 3)
         for _ in range(25):
             x = rng.random((3, 2)) < 0.4
-            budgets = x.sum(axis=1).astype(float)
-            budgets[0] += 3.0 - budgets.sum()
+            budgets = x.sum(axis=1)
+            budgets[0] += 3 - budgets.sum()
             placement = Placement(x.astype(bool), budgets)
             cost = evaluate_objective(nearest_assignment(placement, inst), inst)
             assert cost == pytest.approx(brute_force_objective(placement, inst), abs=1e-9)
@@ -156,15 +156,17 @@ class TestObjective:
 
     def test_average_hops_normalization(self):
         topo = path_topology(2, origin_attach=0, penalty=5)
-        inst = make_instance(topo, 1, 0.0, np.ones((2, 1)), 0.0)
-        cost = placement_cost(Placement(np.zeros((2, 1), dtype=bool), np.zeros(2)), inst)
+        inst = make_instance(topo, 1, 0.0, np.ones((2, 1)), 0)
+        cost = placement_cost(Placement(np.zeros((2, 1), dtype=bool), np.zeros(2, dtype=int)), inst)
         assert average_hops(cost, inst) == pytest.approx((5 + 6) / 2)
 
 
 class TestInstanceChecks:
-    @pytest.mark.parametrize("c_sum", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("c_sum", [np.nan, np.inf, -1, 2.5, 2.0],
+                             ids=["nan", "inf", "negative", "fraction", "whole_float"])
     def test_rejects_c_sum(self, c_sum):
-        with pytest.raises(ValueError):
+        """The pool counts copies: anything but a nonnegative integer is rejected."""
+        with pytest.raises(ValueError, match="^c_sum must be a nonnegative integer"):
             make_instance(path_topology(3), 2, 0.0, np.ones((3, 2)), c_sum)
 
 
@@ -186,7 +188,7 @@ class TestWeights:
         topo = path_topology(3)  # origin distances 3, 4, 5
         big = (2 ** 52 - 1) // 5 - 11
         for extra, unchanged in ((0, True), (1, False)):
-            inst = make_instance(topo, 2, 0.0, [[big + extra, 3], [1, 3], [1, 3]], 6.0)
+            inst = make_instance(topo, 2, 0.0, [[big + extra, 3], [1, 3], [1, 3]], 6)
             raw = inst.demand.rates
             assert (float(raw.sum()) * 5 < 2 ** 52) is unchanged
             assert (inst.weights.tobytes() == raw.tobytes()) is unchanged
@@ -206,7 +208,7 @@ class TestWeights:
         object, which a fixed 2**-10 grid rounds to zero."""
         topo = generate_power_law_topology(64, 2, seed=1)
         catalog = Catalog(zipf_popularity(800, 1.2))
-        inst = Instance(topo, catalog, build_demand(topo, catalog), 64.0)
+        inst = Instance(topo, catalog, build_demand(topo, catalog), 64)
         smallest = float(inst.demand.rates.min())
         assert round(smallest * 2 ** 10) == 0
         assert inst.weights.min() > 0
@@ -215,7 +217,7 @@ class TestWeights:
     def test_overflowing_total_rejected(self):
         """Demand whose hop-weighted total is not a finite float has no grid:
         its weights, and so every solve, raise instead of reading inf."""
-        inst = make_instance(path_topology(3), 2, 0.0, np.full((3, 2), 1e307), 2.0)  # sums to 6e307, times 5 hops
+        inst = make_instance(path_topology(3), 2, 0.0, np.full((3, 2), 1e307), 2)  # sums to 6e307, times 5 hops
         with pytest.raises(ValueError, match="finite float"):
             inst.weights
         with pytest.raises(ValueError, match="finite float"):
@@ -230,37 +232,44 @@ class TestWeights:
 class TestFeasibility:
     def test_empty_with_equal_split_ok(self):
         topo = path_topology(3)
-        inst = make_instance(topo, 2, 0.0, np.ones((3, 2)), 6.0)
-        placement = Placement(np.zeros((3, 2), dtype=bool), np.full(3, 2.0))
+        inst = make_instance(topo, 2, 0.0, np.ones((3, 2)), 6)
+        placement = Placement(np.zeros((3, 2), dtype=bool), np.full(3, 2))
         assert check_feasibility(placement, inst) == []
 
     def test_capacity_violation_names_node(self):
         topo = path_topology(3)
-        inst = make_instance(topo, 2, 0.0, np.ones((3, 2)), 6.0)
+        inst = make_instance(topo, 2, 0.0, np.ones((3, 2)), 6)
         x = np.zeros((3, 2), dtype=bool)
         x[1] = True  # 2 copies at node 1, budget 1
-        placement = Placement(x, np.array([5.0, 1.0, 0.0]))
-        assert check_feasibility(placement, inst) == ["node 1: 2 copies exceed budget 1.0"]
+        placement = Placement(x, np.array([5, 1, 0]))
+        assert check_feasibility(placement, inst) == ["node 1: 2 copies exceed budget 1"]
 
     def test_pool_violation(self):
         topo = path_topology(3)
-        inst = make_instance(topo, 2, 0.0, np.ones((3, 2)), 6.0)
-        placement = Placement(np.zeros((3, 2), dtype=bool), np.array([2.0, 2.0, 1.0]))
-        assert check_feasibility(placement, inst) == ["budgets sum to 5.0, pool is 6.0"]
+        inst = make_instance(topo, 2, 0.0, np.ones((3, 2)), 6)
+        placement = Placement(np.zeros((3, 2), dtype=bool), np.array([2, 2, 1]))
+        assert check_feasibility(placement, inst) == ["budgets sum to 5, pool is 6"]
+
+    def test_pool_sum_exact_past_int64(self):
+        """Budgets whose int64 sum wraps round onto the pool still break it."""
+        inst = make_instance(path_topology(3), 2, 0.0, np.ones((3, 2)), 6)
+        placement = Placement(np.zeros((3, 2), dtype=bool), np.array([2**63 - 1, 2**63 - 1, 8]))
+        assert check_feasibility(placement, inst) == [f"budgets sum to {2**64 + 6}, pool is 6"]
 
     MALFORMED = {  # (x, budgets) for a 6-router, 10-object instance with pool 6
-        "fractional_x": (np.full((6, 10), 0.1), np.ones(6)),
-        "extra_router": (np.eye(7, 10, dtype=bool) & (np.arange(7) < 6)[:, None], np.append(np.ones(6), 0.0)),
+        "fractional_x": (np.full((6, 10), 0.1), np.ones(6, dtype=int)),
+        "extra_router": (np.eye(7, 10, dtype=bool) & (np.arange(7) < 6)[:, None], np.append(np.ones(6, dtype=int), 0)),
         "missing_router": (np.eye(5, 10, dtype=bool), np.full(5, 1.2)),
         "nan_budgets": (np.zeros((6, 10), dtype=bool), np.full(6, np.nan)),
-        "one_budget": (np.zeros((6, 10), dtype=bool), np.array([6.0])),
+        "one_budget": (np.zeros((6, 10), dtype=bool), np.array([6])),
+        "whole_float_budgets": (np.zeros((6, 10), dtype=bool), np.ones(6)),  # they sum to the pool
     }
 
     @pytest.mark.parametrize("case", MALFORMED)
     def test_malformed_placement_one_message(self, case):
         """A membership matrix that is not n x m boolean, or budgets that are
-        not n finite numbers, get one message and no install."""
-        inst = make_instance(path_topology(6), 10, 0.8, np.ones((6, 10)), 6.0)
+        not n integers, get one message and no install."""
+        inst = make_instance(path_topology(6), 10, 0.8, np.ones((6, 10)), 6)
         placement = Placement(*self.MALFORMED[case])
         problems = check_feasibility(placement, inst)
         assert len(problems) == 1
@@ -275,7 +284,7 @@ class TestExactSolve:
     def test_zero_budget_costs_origin_only(self):
         rng = np.random.default_rng(8)
         inst = random_instance(rng)
-        inst = Instance(inst.topology, inst.catalog, inst.demand, 0.0)
+        inst = Instance(inst.topology, inst.catalog, inst.demand, 0)
         result = exact_solve(inst)
         assert not result.placement.x.any()
         expected = float((inst.demand.rates * inst.topology.origin_distances[:, None]).sum())
@@ -283,7 +292,7 @@ class TestExactSolve:
 
     def test_full_budget_full_replication(self):
         topo = path_topology(3)
-        inst = make_instance(topo, 2, 0.5, np.ones((3, 2)), 6.0)
+        inst = make_instance(topo, 2, 0.5, np.ones((3, 2)), 6)
         result = exact_solve(inst)
         assert result.cost == 0.0
 
@@ -297,7 +306,7 @@ class TestExactSolve:
         # cost 4*(1+0+1) + 2*(1+0+1) = 12.
         topo = path_topology(3, origin_attach=0, penalty=3)
         rates = np.tile(np.array([2 / 3, 1 / 3]) * 6, (3, 1))
-        inst = make_instance(topo, 2, 1.0, rates, 2.0)
+        inst = make_instance(topo, 2, 1.0, rates, 2)
         result = exact_solve(inst)
         expected = np.zeros((3, 2), dtype=bool)
         expected[1, :] = True
@@ -307,22 +316,23 @@ class TestExactSolve:
 
     def test_guard_rejects_large(self):
         topo = path_topology(5)
-        inst = make_instance(topo, 5, 0.5, np.ones((5, 5)), 2.0)
+        inst = make_instance(topo, 5, 0.5, np.ones((5, 5)), 2)
         with pytest.raises(InstanceTooLargeError):
             exact_solve(inst)
 
-    @pytest.mark.parametrize("c_sum", [2.0, 4.0, 6.0])
-    def test_size_pool_prune_matches_brute_force(self, c_sum):
+    @pytest.mark.parametrize("pool", [2.0, 4.0, 6.0])  # float-spelled, so the test ids stay as they were
+    def test_size_pool_prune_matches_brute_force(self, pool):
         """exact_solve enumerates only memberships of at most c_sum copies;
         its optimum is still the cheapest of the 2**9 memberships that fit
         the pool, and a membership above the pool would cost less."""
-        rng = np.random.default_rng(int(c_sum))
+        c_sum = int(pool)
+        rng = np.random.default_rng(c_sum)
         rates = rng.integers(1, 6, size=(3, 3)).astype(float)
         inst = make_instance(path_topology(3), 3, 0.8, rates, c_sum)
         fits, overflows = [], []
         for bits in itertools.product((False, True), repeat=9):
             x = np.array(bits).reshape(3, 3)
-            cost = placement_cost(Placement(x, np.zeros(3)), inst)  # cost reads only x
+            cost = placement_cost(Placement(x, np.zeros(3, dtype=int)), inst)  # cost reads only x
             (fits if sum(bits) <= c_sum else overflows).append(cost)
         result = exact_solve(inst)
         assert result.cost == min(fits)
@@ -391,7 +401,7 @@ def rescan_greedy(instance):
         placed += 1
         np.minimum(curdist[:, k], hop[:, j], out=curdist[:, k])
         rescore = [k]
-    budgets = x.sum(axis=1).astype(float)
+    budgets = x.sum(axis=1)
     budgets[0] += instance.c_sum - budgets.sum()
     out = Placement(x, budgets)
     return out, placement_cost(out, instance)
@@ -459,14 +469,14 @@ class TestGreedy:
         # path 0-1-2, origin behind node 1 at penalty 3, demand only at the
         # ends: a copy at any of the three routers saves 6 hops
         topo = path_topology(3, origin_attach=1, penalty=3)
-        inst = make_instance(topo, 1, 0.0, [[1.0], [0.0], [1.0]], 1.0)
+        inst = make_instance(topo, 1, 0.0, [[1.0], [0.0], [1.0]], 1)
         x = greedy_solve(inst).placement.x
         assert np.array_equal(x, [[True], [False], [False]])
 
     def test_zero_budget_empty(self):
         rng = np.random.default_rng(10)
         inst = random_instance(rng)
-        inst = Instance(inst.topology, inst.catalog, inst.demand, 0.0)
+        inst = Instance(inst.topology, inst.catalog, inst.demand, 0)
         assert not greedy_solve(inst).placement.x.any()
 
     def test_single_node_caches_popular_object(self):
@@ -475,7 +485,7 @@ class TestGreedy:
         rates = np.array([[0.9, 0.1], [0.0, 0.0]])
         rates[1, 0] = 1e-9  # keep demand matrix valid but concentrated at node 0
         catalog = Catalog(np.array([0.9, 0.1]))
-        inst = Instance(topo, catalog, DemandMatrix(rates), 1.0)
+        inst = Instance(topo, catalog, DemandMatrix(rates), 1)
         result = greedy_solve(inst)
         assert result.placement.x[0, 0]
 
@@ -543,7 +553,7 @@ def random_placement(rng, instance):
         if pool >= 1 and rng.random() < 0.6:
             x[j, k] = True
             pool -= 1
-    return Placement(x, np.zeros(instance.n))
+    return Placement(x, np.zeros(instance.n, dtype=int))
 
 
 def telemetry_instance(n, m, topo_seed, fraction=0.10, smoothing=1.0, seed=2):
@@ -554,7 +564,7 @@ def telemetry_instance(n, m, topo_seed, fraction=0.10, smoothing=1.0, seed=2):
     rng = np.random.default_rng(seed)
     counts = np.zeros((n, m))
     np.add.at(counts, (rng.integers(0, n, 30000), rng.choice(m, 30000, p=catalog.popularity)), 1.0)
-    return Instance(topo, catalog, DemandMatrix(counts + smoothing), float(round(fraction * m) * n))
+    return Instance(topo, catalog, DemandMatrix(counts + smoothing), round(fraction * m) * n)
 
 
 def desk_instance():
@@ -598,7 +608,7 @@ class TestLocalSearch:
             start = random_placement(rng, inst) if trial % 4 or over else greedy_solve(inst).placement
             if over:  # shrink the pool below the start's copies
                 used = int(start.x.sum())
-                inst = Instance(inst.topology, inst.catalog, inst.demand, float(rng.integers(0, max(used, 1))))
+                inst = Instance(inst.topology, inst.catalog, inst.demand, int(rng.integers(0, max(used, 1))))
                 no_fit += used > inst.c_sum
             for cap in (1, 2, 10 * inst.n * inst.m):
                 fast = local_search(inst, start, cap)
@@ -648,7 +658,7 @@ class TestLocalSearch:
         counts = np.zeros((n, m))
         np.add.at(counts, (rng.integers(0, n, 20000), rng.choice(m, 20000, p=catalog.popularity)), 1.0)
         inst = Instance(generate_power_law_topology(n, 2, seed=3), catalog, DemandMatrix(counts + 1.0),
-                        float(round(0.10 * m) * n))
+                        round(0.10 * m) * n)
         start = greedy_solve(inst).placement
         default = local_search(inst, start, 10 * n * m)
         monkeypatch.setattr(optimizer, "_CHUNK", chunk)

@@ -45,7 +45,7 @@ from cachenet.simnet import (
 from util import nearest_assignment, nearest_supplier, random_instance, reference_next_hop
 
 
-def path_instance(n, m, alpha=0.5, origin_attach=0, penalty=3, c_sum=0.0):
+def path_instance(n, m, alpha=0.5, origin_attach=0, penalty=3, c_sum=0):
     edges = frozenset((i, i + 1) for i in range(n - 1))
     topo = Topology(edges, all_pairs_hops(n, edges), origin_attach, penalty)
     catalog = Catalog(zipf_popularity(m, alpha))
@@ -56,7 +56,7 @@ def path_instance(n, m, alpha=0.5, origin_attach=0, penalty=3, c_sum=0.0):
 def installed(inst, x, budgets):
     """A state serving placement ``(x, budgets)``."""
     state = NetworkState(inst)
-    apply_placement(state, Placement(x, np.asarray(budgets, dtype=float)))
+    apply_placement(state, Placement(x, np.asarray(budgets)))
     return state
 
 
@@ -230,10 +230,10 @@ class TestCache:
 
 class TestHandleRequest:
     def test_local_hit(self):
-        inst = path_instance(3, 2, c_sum=3.0)
+        inst = path_instance(3, 2, c_sum=3)
         x = np.zeros((3, 2), dtype=bool)
         x[1, 0] = True
-        state = installed(inst, x, [1.0, 1.0, 1.0])
+        state = installed(inst, x, [1, 1, 1])
         deterministic_epoch(state)
         assert state.telemetry.hops_accumulated[1, 0] == 0
         assert state.telemetry.hit_count[1, 0] == 1
@@ -241,14 +241,14 @@ class TestHandleRequest:
     def test_no_cache_goes_to_origin(self):
         # path 0-1-2, origin at 0 with penalty 3, requester at node 2
         inst = path_instance(3, 1, penalty=3)
-        state = installed(inst, np.zeros((3, 1), dtype=bool), [0.0, 0.0, 0.0])
+        state = installed(inst, np.zeros((3, 1), dtype=bool), [0, 0, 0])
         deterministic_epoch(state)
         assert state.telemetry.hops_accumulated[2, 0] == 2 + 3
         assert state.telemetry.hit_count[2, 0] == 0
 
     def test_lce_lru_capacity_one_thrashes(self):
         inst = path_instance(2, 2, penalty=3)
-        state = NetworkState(inst, [1.0, 1.0], Policy.LRU)
+        state = NetworkState(inst, [1, 1], Policy.LRU)
         a, b = 0, 1
         assert handle_request(state, 1, a) > 0   # miss, A cached on reply path
         assert handle_request(state, 1, a) == 0  # hit
@@ -257,7 +257,7 @@ class TestHandleRequest:
 
     def test_lce_inserts_along_reply_path(self):
         inst = path_instance(4, 1, origin_attach=0, penalty=0)
-        state = NetworkState(inst, [1.0] * 4, Policy.LRU)
+        state = NetworkState(inst, [1] * 4, Policy.LRU)
         handle_request(state, 3, 0)
         # fetched from the origin behind node 0: every router on the path caches it
         for node in range(4):
@@ -265,10 +265,10 @@ class TestHandleRequest:
         assert state.holders[0] == {0, 1, 2, 3}
 
     def test_nearest_copy_wins_over_origin(self):
-        inst = path_instance(3, 1, origin_attach=0, penalty=3, c_sum=1.0)
+        inst = path_instance(3, 1, origin_attach=0, penalty=3, c_sum=1)
         x = np.zeros((3, 1), dtype=bool)
         x[2, 0] = True
-        state = installed(inst, x, [0.0, 0.0, 1.0])
+        state = installed(inst, x, [0, 0, 1])
         deterministic_epoch(state)
         assert state.telemetry.hops_accumulated[1, 0] == 1  # node 2 beats origin at 1+3
 
@@ -277,7 +277,7 @@ class TestHandleRequest:
         # cache is no access at node 1, so its LRU order and LFU counts stay
         inst = path_instance(3, 3, penalty=3)
         for policy in (Policy.LRU, Policy.LFU):
-            state = NetworkState(inst, [1.0, 2.0, 1.0], policy)
+            state = NetworkState(inst, [1, 2, 1], policy)
             for obj in (0, 1):
                 state.caches[1].insert(obj)
                 state.holders[obj].add(1)
@@ -289,7 +289,7 @@ class TestHandleRequest:
         rng = np.random.default_rng(23)
         for _ in range(200):
             inst = random_instance(rng, n_max=8, m_max=6)
-            capacities = rng.integers(0, 4, size=inst.n).astype(float)
+            capacities = rng.integers(0, 4, size=inst.n).tolist()
             for policy in (Policy.LRU, Policy.LFU):
                 state = NetworkState(inst, capacities, policy)
                 for _ in range(200):
@@ -309,7 +309,7 @@ class TestAgainstReferenceLCE:
             inst = random_instance(rng, n_max=8, m_max=6)
             penalty = 0 if trial % 2 else 3
             inst = Instance(replace(inst.topology, origin_penalty=penalty), inst.catalog, inst.demand, inst.c_sum)
-            capacities = rng.integers(0, 4, size=inst.n).astype(float)
+            capacities = rng.integers(0, 4, size=inst.n).tolist()
             policy = Policy.LRU if trial % 3 else Policy.LFU
             state, ref = NetworkState(inst, capacities, policy), ReferenceLCE(inst, capacities, policy)
             for _ in range(60):
@@ -349,7 +349,7 @@ class TestAgainstReferenceLCE:
             cfg = SimConfig(scheme, nodes=16, objects=40, requests_per_epoch=3000, cache_fraction=0.1,
                             epochs=2, warmup_epochs=0)
             inst = build_instance(cfg)
-            capacities = np.full(inst.n, float(cfg.slots_per_node))
+            capacities = [cfg.slots_per_node] * inst.n
             state, ref = NetworkState(inst, capacities, policy), ReferenceLCE(inst, capacities, policy)
             run_epoch(cfg, state, np.random.default_rng(5))
             draw = np.random.default_rng(5)
@@ -385,8 +385,8 @@ class TestNearestSupplier:
             if trial % 2:
                 topo = replace(topo, origin_penalty=0)
             x = rng.random((inst.n, inst.m)) < rng.uniform(0.1, 0.7)
-            budgets = x.sum(axis=1).astype(float)
-            inst = Instance(topo, inst.catalog, inst.demand, float(budgets.sum()))
+            budgets = x.sum(axis=1)
+            inst = Instance(topo, inst.catalog, inst.demand, int(budgets.sum()))
             state = NetworkState(inst, budgets, Policy.LRU)
             for i, k in zip(*np.nonzero(x)):
                 state.holders[k].add(int(i))
@@ -408,8 +408,8 @@ class TestNearestSupplier:
             topo = replace(base, origin_penalty=penalty)
             for density in (0.01, 0.05, 0.2):
                 x = rng.random((64, 40)) < density
-                budgets = x.sum(axis=1).astype(float)
-                inst = Instance(topo, catalog, build_demand(topo, catalog), float(budgets.sum()))
+                budgets = x.sum(axis=1)
+                inst = Instance(topo, catalog, build_demand(topo, catalog), int(budgets.sum()))
                 state = NetworkState(inst, budgets, Policy.LRU)
                 for i, k in zip(*np.nonzero(x)):
                     state.holders[k].add(int(i))
@@ -467,21 +467,21 @@ class TestNearestCopyChunk:
 
 class TestApplyPlacement:
     def test_empty_placement_empties_caches(self):
-        inst = path_instance(3, 2, c_sum=6.0)
-        state = installed(inst, np.ones((3, 2), dtype=bool), [2.0] * 3)
+        inst = path_instance(3, 2, c_sum=6)
+        state = installed(inst, np.ones((3, 2), dtype=bool), [2] * 3)
         deterministic_epoch(state)
-        apply_placement(state, Placement(np.zeros((3, 2), dtype=bool), np.array([6.0, 0.0, 0.0])))
+        apply_placement(state, Placement(np.zeros((3, 2), dtype=bool), np.array([6, 0, 0])))
         assert not state.placement.x.any()
-        assert np.array_equal(state.placement.budgets, [6.0, 0.0, 0.0])
+        assert np.array_equal(state.placement.budgets, [6, 0, 0])
         assert np.array_equal(state.placement_dist, np.tile(inst.topology.origin_distances[:, None], 2))
         # telemetry preserved across reconfiguration
         assert np.array_equal(state.telemetry.request_count, np.ones((3, 2)))
 
     def test_idempotent(self):
-        inst = path_instance(3, 2, c_sum=3.0)
+        inst = path_instance(3, 2, c_sum=3)
         x = np.zeros((3, 2), dtype=bool)
         x[0, 0] = x[2, 1] = True
-        placement = Placement(x, np.array([1.0, 1.0, 1.0]))
+        placement = Placement(x, np.array([1, 1, 1]))
         state = installed(inst, placement.x, placement.budgets)
         before = state.placement_dist.copy()
         apply_placement(state, placement)
@@ -491,11 +491,11 @@ class TestApplyPlacement:
         assert np.array_equal(state.placement_dist, nearest_copy(state.placement.x, inst))
 
     def test_infeasible_rejected(self):
-        inst = path_instance(3, 2, c_sum=1.0)
+        inst = path_instance(3, 2, c_sum=1)
         state = NetworkState(inst)
         x = np.ones((3, 2), dtype=bool)
         with pytest.raises(InvalidParameterError):
-            apply_placement(state, Placement(x, np.array([1.0, 0.0, 0.0])))
+            apply_placement(state, Placement(x, np.array([1, 0, 0])))
         assert state.placement is None
 
     def test_one_feasibility_check_per_install(self, monkeypatch):
@@ -519,10 +519,10 @@ class TestApplyPlacement:
         assert len(calls) == config.epochs
 
     def test_record_is_the_only_residency(self):
-        inst = path_instance(3, 2, c_sum=3.0)
-        state = installed(inst, np.zeros((3, 2), dtype=bool), [1.0] * 3)
+        inst = path_instance(3, 2, c_sum=3)
+        state = installed(inst, np.zeros((3, 2), dtype=bool), [1] * 3)
         assert not any(hasattr(state, a) for a in ("caches", "holders", "reply_stops"))
-        lce = NetworkState(inst, [1.0] * 3, Policy.LFU)
+        lce = NetworkState(inst, [1] * 3, Policy.LFU)
         assert lce.placement is None
         assert (len(lce.caches), len(lce.holders), lce.reply_stops.next_hop.shape) == (3, 2, (3, 3))
 
@@ -531,8 +531,8 @@ class TestRunEpoch:
     def test_deterministic_schedule_matches_objective(self):
         rng = np.random.default_rng(2)
         x = rng.random((4, 3)) < 0.4
-        inst = path_instance(4, 3, alpha=0.9, penalty=2, c_sum=float(x.sum()))
-        budgets = x.sum(axis=1).astype(float)
+        inst = path_instance(4, 3, alpha=0.9, penalty=2, c_sum=int(x.sum()))
+        budgets = x.sum(axis=1)
         placement = Placement(x, budgets)
         state = installed(inst, x, budgets)
         metrics = deterministic_epoch(state)
@@ -541,8 +541,8 @@ class TestRunEpoch:
         assert metrics.avg_hops == pytest.approx(expected, abs=1e-9)
 
     def test_full_replication_zero_hops(self):
-        inst = path_instance(3, 2, c_sum=6.0)
-        state = installed(inst, np.ones((3, 2), dtype=bool), np.full(3, 2.0))
+        inst = path_instance(3, 2, c_sum=6)
+        state = installed(inst, np.ones((3, 2), dtype=bool), np.full(3, 2))
         cfg = SimConfig(Scheme.OPTIMIZED, nodes=3, objects=2, requests_per_epoch=500,
                         epochs=2, warmup_epochs=0, cache_fraction=1.0)
         metrics = run_epoch(cfg, state, np.random.default_rng(1))
@@ -550,8 +550,8 @@ class TestRunEpoch:
         assert metrics.hit_ratio == 1.0
 
     def test_telemetry_conservation(self):
-        inst = path_instance(4, 3, c_sum=4.0)
-        state = NetworkState(inst, [1.0] * 4, Policy.LRU)
+        inst = path_instance(4, 3, c_sum=4)
+        state = NetworkState(inst, [1] * 4, Policy.LRU)
         cfg = SimConfig(Scheme.LCE_LRU, nodes=4, objects=3, requests_per_epoch=777,
                         epochs=2, warmup_epochs=0, cache_fraction=0.34)
         run_epoch(cfg, state, np.random.default_rng(3))
@@ -572,7 +572,7 @@ class TestRunEpoch:
             if trial % 3 == 0:  # a miss at the origin attachment then costs 0 hops
                 inst = Instance(replace(inst.topology, origin_penalty=0), inst.catalog, inst.demand, inst.c_sum)
             n, m = inst.n, inst.m
-            capacities = rng.integers(0, 3, size=n).astype(float)
+            capacities = rng.integers(0, 3, size=n).tolist()
             state, twin = NetworkState(inst, capacities, policy), NetworkState(inst, capacities, policy)
             counts, hits, hops = ([[0] * m for _ in range(n)] for _ in range(3))
             for epoch in range(2):  # telemetry accumulates across epochs
@@ -607,14 +607,14 @@ class TestRunEpoch:
         for trial in range(40):
             inst = random_instance(rng, n_max=8, m_max=6)
             topo = replace(inst.topology, origin_penalty=0) if trial % 3 == 0 else inst.topology
-            inst = Instance(topo, inst.catalog, inst.demand, float(inst.n * inst.m))
+            inst = Instance(topo, inst.catalog, inst.demand, inst.n * inst.m)
             n, m = inst.n, inst.m
             hop, dorg = topo.hop_matrix.tolist(), topo.origin_distances.tolist()
             state = NetworkState(inst)
             counts, hits, hops = ([[0] * m for _ in range(n)] for _ in range(3))
             for epoch in range(2):  # a fresh placement each epoch; telemetry accumulates
                 x = rng.random((n, m)) < rng.uniform(0.0, 0.7)
-                budgets = x.sum(axis=1).astype(float)
+                budgets = x.sum(axis=1)
                 budgets[0] += inst.c_sum - budgets.sum()
                 apply_placement(state, Placement(x, budgets))
                 metrics = run_epoch(cfg, state, np.random.default_rng(trial * 2 + epoch))
@@ -640,12 +640,12 @@ class TestRunEpoch:
         assert zero_hop_misses > 0 and local_hits > 0
 
     def test_fixed_seed_reproduces_telemetry(self):
-        inst = path_instance(4, 3, c_sum=4.0)
+        inst = path_instance(4, 3, c_sum=4)
         cfg = SimConfig(Scheme.LCE_LFU, nodes=4, objects=3, requests_per_epoch=500,
                         epochs=2, warmup_epochs=0, cache_fraction=0.34)
         logs = []
         for _ in range(2):
-            state = NetworkState(inst, [1.0] * 4, Policy.LFU)
+            state = NetworkState(inst, [1] * 4, Policy.LFU)
             run_epoch(cfg, state, np.random.default_rng(42))
             logs.append(state.telemetry)
         assert np.array_equal(logs[0].request_count, logs[1].request_count)
@@ -659,8 +659,8 @@ class TestRunEpoch:
             inst = random_instance(rng, n_max=8, m_max=6)
             topo = replace(inst.topology, origin_penalty=0) if trial % 2 else inst.topology
             x = rng.random((inst.n, inst.m)) < rng.uniform(0.0, 0.7)
-            budgets = x.sum(axis=1).astype(float)
-            inst = Instance(topo, inst.catalog, inst.demand, float(budgets.sum()))
+            budgets = x.sum(axis=1)
+            inst = Instance(topo, inst.catalog, inst.demand, int(budgets.sum()))
             state = installed(inst, x, budgets)
             metrics = deterministic_epoch(state)
             dist = nearest_copy(x, inst)
@@ -682,7 +682,7 @@ class TestRunEpoch:
 
     @pytest.mark.parametrize("policy", [Policy.LRU, Policy.LFU])
     def test_deterministic_lce_rejected(self, policy):
-        state = NetworkState(path_instance(3, 2), [1.0] * 3, policy)
+        state = NetworkState(path_instance(3, 2), [1] * 3, policy)
         with pytest.raises(InvalidParameterError):
             deterministic_epoch(state)
         assert state.telemetry.total_requests == 0
@@ -839,7 +839,7 @@ class TestRunSimulation:
         inst = build_instance(cfg)
         penalty = 2**53 // 200 - 7  # (nodes - 1 + penalty) x 200 requests <= 2**53
         inst = Instance(replace(inst.topology, origin_penalty=penalty), inst.catalog, inst.demand, inst.c_sum)
-        state = installed(inst, np.zeros((inst.n, inst.m), dtype=bool), np.zeros(inst.n))
+        state = installed(inst, np.zeros((inst.n, inst.m), dtype=bool), np.zeros(inst.n, dtype=int))
         rng = np.random.default_rng(5)
         metrics = [run_epoch(cfg, state, rng) for _ in range(cfg.epochs)]
         tele = state.telemetry
@@ -880,6 +880,41 @@ class TestRunSimulation:
                         epochs=2, warmup_epochs=0, seed=3, cache_fraction=0.2)
         report = run_simulation(cfg)
         assert report.total_requests == 400
+
+    def test_copy_counts_are_integers(self, monkeypatch):
+        """Every copy count a cell makes is an int: each placement it installs
+        (the warm-up, RANDOM_STATIC and NO_CACHE placements, and each OPTIMIZED
+        decision) has integer budgets summing exactly to ``config.c_sum``, and
+        each LCE cache's capacity is the int ``slots_per_node``."""
+        installs, states = [], []
+        install, initial = simnet.apply_placement, simnet._initial_state
+
+        def recorded_install(state, placement):
+            installs.append(placement)
+            install(state, placement)
+
+        def recorded_initial(*args):
+            states.append(initial(*args))
+            return states[-1]
+
+        monkeypatch.setattr(simnet, "apply_placement", recorded_install)
+        monkeypatch.setattr(simnet, "_initial_state", recorded_initial)
+        for scheme in Scheme:
+            installs.clear()
+            states.clear()
+            config = SimConfig(scheme, nodes=16, objects=40, cache_fraction=0.1, requests_per_epoch=300,
+                               epochs=4, warmup_epochs=1, seed=3)
+            run_simulation(config)
+            (state,) = states
+            assert type(state.instance.c_sum) is int and state.instance.c_sum == config.c_sum, scheme
+            if scheme in (Scheme.LCE_LRU, Scheme.LCE_LFU):
+                assert installs == [], scheme
+                assert [(type(c.capacity), c.capacity) for c in state.caches] == [(int, 4)] * config.nodes, scheme
+                continue
+            assert len(installs) == (config.epochs if scheme is Scheme.OPTIMIZED else 1), scheme
+            for placement in installs:
+                assert placement.budgets.dtype.kind in "iu", scheme
+                assert sum(placement.budgets.tolist()) == config.c_sum, scheme
 
 
 class TestTopologyMemo:

@@ -44,7 +44,7 @@ def random_instance(rng, n_max=4, m_max=5, c_max=4):
     rates = rng.uniform(0.0, 5.0, size=(n, m))
     rates[int(rng.integers(0, n)), int(rng.integers(0, m))] += 1.0  # keep demand nonzero
     demand = DemandMatrix(rates)
-    c_sum = float(rng.integers(0, c_max + 1))
+    c_sum = int(rng.integers(0, c_max + 1))
     return Instance(topo, catalog, demand, c_sum)
 
 

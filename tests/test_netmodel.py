@@ -1,4 +1,6 @@
 import itertools
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,3 +337,39 @@ class TestDemand:
         for i in range(5):
             assert dem.rates[i, 0] / dem.rates[i, 3] == pytest.approx(p[0] / p[3])
 
+
+
+class TestInterchange:
+    """The topology, catalog and demand writers, which live in demo 01."""
+
+    @pytest.fixture
+    def writers(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the demo writes its own files into the working directory
+        demo = Path(__file__).resolve().parents[1] / "demos" / "01_build_network.py"
+        return runpy.run_path(str(demo), run_name="build_network")
+
+    def test_topology_round_trip(self, writers, tmp_path):
+        topo = generate_power_law_topology(12, 2, seed=3)
+        path = tmp_path / "topo.txt"
+        writers["save_topology"](topo, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == f"nodes 12 origin {topo.origin_attach} penalty 3"
+        assert lines[1:] == [f"{u} {v}" for u, v in sorted(topo.edges)]
+
+    def test_catalog_and_demand_csv(self, writers, tmp_path):
+        topo = generate_power_law_topology(3, 1, seed=0)
+        cat = Catalog(zipf_popularity(4, 0.8))
+        dem = build_demand(topo, cat)
+        cat_path = tmp_path / "small_catalog.csv"
+        dem_path = tmp_path / "small_demand.csv"
+        writers["catalog_to_csv"](cat, cat_path)
+        writers["demand_to_csv"](dem, dem_path)
+        cat_lines = cat_path.read_text().splitlines()
+        assert cat_lines[0] == "object,popularity"
+        assert len(cat_lines) == 5
+        dem_lines = dem_path.read_text().splitlines()
+        assert dem_lines[0] == "node,object,rate"
+        assert len(dem_lines) == 1 + 3 * 4
+        # values round-trip through repr
+        _, _, rate = dem_lines[1].split(",")
+        assert float(rate) == dem.rates[0, 0]

@@ -16,8 +16,6 @@ from .optimizer import (
     SolveResult,
     average_hops,
     check_feasibility,
-    evaluate_objective,
-    exact_solve,
     greedy_solve,
     local_search,
     nearest_copy,

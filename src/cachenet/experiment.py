@@ -76,6 +76,8 @@ def load_spec(path) -> ExperimentSpec:
         raise ConfigError([f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"]) from exc
     except ValueError as exc:  # json's one other ValueError: an integer past Python's str() digit limit
         raise ConfigError([f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits"]) from exc
+    except RecursionError as exc:
+        raise ConfigError([f"{path}: arrays or objects nested too deeply to parse"]) from exc
     return spec_from_dict(raw)
 
 
@@ -90,7 +92,8 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
     if diagnostics:
         raise ConfigError(diagnostics)
     axes = {k: v for k, v in raw.items() if k in AXES}
-    axes["sweep"] = str(axes["sweep"]).lower()
+    if isinstance(axes["sweep"], str):
+        axes["sweep"] = axes["sweep"].lower()
     spec = ExperimentSpec(**axes, fixed={k: v for k, v in raw.items() if k in FIXED_FIELDS})
     diagnostics = validate_spec(spec)
     if diagnostics:
@@ -103,17 +106,17 @@ def validate_spec(spec: ExperimentSpec) -> list:
     """Full invariant check without running; returns diagnostics, empty if ok."""
     diags = []
     if spec.sweep not in SWEEPABLE:
-        diags.append(f"sweep: must be one of {SWEEPABLE}, got {spec.sweep!r}")
+        diags.append(f"sweep: must be one of {SWEEPABLE}, got {brief(spec.sweep)}")
     elif spec.sweep in spec.fixed:
         diags.append(f"{spec.sweep}: is the swept field; list its grid in values")
     if not isinstance(spec.values, list) or not all(is_number(v, numbers.Real) for v in spec.values):
-        diags.append(f"values: must be a list of numbers, got {spec.values!r}")
+        diags.append(f"values: must be a list of numbers, got {brief(spec.values)}")
     elif not spec.values:
         diags.append("values: must be nonempty")
     elif any(b <= a for a, b in zip(spec.values, spec.values[1:])):
         diags.append("values: must be strictly increasing")
     if not isinstance(spec.seeds, list) or not all(is_number(s, numbers.Integral) for s in spec.seeds):
-        diags.append(f"seeds: must be a list of integers, got {spec.seeds!r}")
+        diags.append(f"seeds: must be a list of integers, got {brief(spec.seeds)}")
     elif not spec.seeds:
         diags.append("seeds: must be nonempty")
     elif min(spec.seeds) < 0:
@@ -121,18 +124,21 @@ def validate_spec(spec: ExperimentSpec) -> list:
     elif len(set(spec.seeds)) != len(spec.seeds):
         diags.append("seeds: must be distinct")
     if not isinstance(spec.schemes, list) or not spec.schemes:
-        diags.append(f"schemes: must be a nonempty list, got {spec.schemes!r}")
+        diags.append(f"schemes: must be a nonempty list, got {brief(spec.schemes)}")
     else:
-        known = []
+        known, unknown = [], []
         for s in spec.schemes:
             try:
                 known.append(Scheme(s))
             except ValueError:
-                diags.append(f"schemes: unknown scheme {s!r}")
+                unknown.append(s)
+        if unknown:
+            more = f" and {len(unknown) - 1} more" if len(unknown) > 1 else ""
+            diags.append(f"schemes: unknown scheme {brief(unknown[0])}{more}")
         if len(set(known)) != len(known):
             diags.append("schemes: must be distinct")
     if not isinstance(spec.output, str):
-        diags.append(f"output: must be a path, got {spec.output!r}")
+        diags.append(f"output: must be a path, got {brief(spec.output)}")
     if diags:
         return diags
     # dry-build one config per (value, scheme) to surface SimConfig invariants,

@@ -6,16 +6,14 @@ hold the object; per-node capacity; and a conserved global budget pool of
 copies. The virtual origin holds everything, so every placement admits a
 feasible assignment.
 
-Solvers: exhaustive enumeration (tiny instances, ground truth), greedy
-marginal-gain insertion, and a first-improvement swap local search.
+Solvers: greedy marginal-gain insertion and a first-improvement swap local
+search.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import heapq
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -29,16 +27,12 @@ __all__ = [
     "Placement",
     "Instance",
     "SolveResult",
-    "InstanceTooLargeError",
     "nearest_copy",
-    "evaluate_objective",
     "average_hops",
     "check_feasibility",
-    "exact_solve",
     "greedy_solve",
     "local_search",
     "solve",
-    "placement_digest",
 ]
 
 # supplier sentinel for the virtual origin server
@@ -51,10 +45,6 @@ ORIGIN = -1
 # table (objects x copies x n) and moved requesters' price rows (moved
 # requesters x n)
 _CHUNK = 1 << 15
-
-
-class InstanceTooLargeError(ValueError):
-    """Instance exceeds the exhaustive solver's enumeration guard."""
 
 
 @dataclass(eq=False)
@@ -137,23 +127,6 @@ def nearest_copy(x: np.ndarray, instance: Instance) -> np.ndarray:
     return best.T.astype(float, order="C")
 
 
-def evaluate_objective(supplier: np.ndarray, instance: Instance) -> float:
-    """Total hop-weighted traffic when supplier[i, k], a router or ORIGIN,
-    serves object k to router i."""
-    hop = instance.topology.hop_matrix
-    dorg = instance.topology.origin_distances
-    rows = np.arange(instance.n)[:, None]
-    origin = supplier == ORIGIN
-    dist = np.where(origin, dorg[:, None], hop[rows, np.where(origin, 0, supplier)])
-    return _traffic(dist, instance)
-
-
-def placement_cost(placement: Placement, instance: Instance) -> float:
-    """Total hop-weighted traffic of ``placement`` served from nearest copies.
-    No solver calls it; the tests keep it as their reference cost."""
-    return _traffic(nearest_copy(placement.x, instance), instance)
-
-
 def _traffic(dist: np.ndarray, instance: Instance) -> float:
     """Total hop-weighted traffic when router i fetches object k over dist[i, k] hops."""
     return float((instance.weights * dist).sum())
@@ -194,49 +167,6 @@ def _budgets_from_usage(x: np.ndarray, c_sum: int) -> np.ndarray:
     budgets = x.sum(axis=1)
     budgets[0] += c_sum - budgets.sum()
     return budgets
-
-
-def exact_solve(instance: Instance) -> SolveResult:
-    """Ground-truth solver: enumerate every placement within the pool.
-
-    Guarded to n*m <= 20 and c_sum <= 6. Returns the lexicographically
-    smallest optimal membership matrix (flattened row-major).
-    """
-    n, m, c_sum = instance.n, instance.m, instance.c_sum
-    if n * m > 20 or c_sum > 6:
-        raise InstanceTooLargeError(f"exact_solve guard: n*m={n * m}, c_sum={c_sum}")
-    w = instance.weights.tolist()
-    hop = instance.topology.hop_matrix.tolist()
-    dorg = [float(d) for d in instance.topology.origin_distances]
-    cells = [(i, k) for i in range(n) for k in range(m)]
-
-    def cost_of(chosen) -> float:
-        holders = [[] for _ in range(m)]
-        for ci in chosen:
-            i, k = cells[ci]
-            holders[k].append(i)
-        total = 0.0
-        for i in range(n):
-            wi = w[i]
-            hi = hop[i]
-            for k in range(m):
-                d = dorg[i]
-                for j in holders[k]:
-                    if hi[j] < d:
-                        d = hi[j]
-                total += wi[k] * d
-        return total
-
-    best_cost, best_bits = cost_of(()), (0,) * (n * m)
-    for r in range(1, c_sum + 1):
-        for combo in itertools.combinations(range(n * m), r):
-            bits = [0] * (n * m)
-            for ci in combo:
-                bits[ci] = 1
-            best_cost, best_bits = min((best_cost, best_bits), (cost_of(combo), tuple(bits)))
-    x = np.array(best_bits, dtype=bool).reshape(n, m)
-    placement = Placement(x, _budgets_from_usage(x, c_sum))
-    return SolveResult(placement, best_cost)
 
 
 def _gains(qs: np.ndarray, dist: np.ndarray, hop: np.ndarray, saved: np.ndarray) -> np.ndarray:
@@ -411,9 +341,3 @@ def solve(instance: Instance) -> SolveResult:
     diagnostics = {"greedy_cost": greedy.cost, "swaps": refined.diagnostics["iterations"]}
     return SolveResult(refined.placement, refined.cost, diagnostics)
 
-
-def placement_digest(placement: Placement) -> str:
-    h = hashlib.sha256()
-    h.update(np.packbits(placement.x).tobytes())
-    h.update(np.asarray(placement.budgets, dtype=float).tobytes())
-    return h.hexdigest()

@@ -94,16 +94,24 @@ def is_number(value, kind) -> bool:
 
 
 def brief(value) -> str:
-    """``value``'s repr for a message, or its length and type when the repr runs past 40 characters.
-    An int's digits are counted from its bit length: Python refuses str() past 4,300 digits."""
+    """``value``'s repr for a message, or its length and type when the repr runs past 40 characters
+    (a container's in items). An int's digits are counted from its bit length: Python refuses str()
+    past 4,300 digits, so a container holding such an int is named by its items whatever its repr."""
     if is_number(value, numbers.Integral):
         size = abs(int(value))
         # 2**(b - 1) <= size < 2**b for b bits: size has the digits of 2**(b - 1), or one more
         digits = int((size.bit_length() - 1) * math.log10(2)) + 1 if size else 1
         digits += size >= 10 ** digits
         return repr(value) if digits + (value < 0) <= 40 else f"a {digits}-digit {type(value).__name__}"
-    text = repr(value)
-    return text if len(text) <= 40 else f"a {len(text.lstrip('-'))}-character {type(value).__name__}"
+    try:
+        text = repr(value)
+    except (ValueError, RecursionError):  # an int past str()'s digit limit inside, or nesting past the stack
+        text = None
+    if text is not None and len(text) <= 40:
+        return text
+    if isinstance(value, (list, tuple, dict, set)):
+        return f"a {len(value)}-item {type(value).__name__}"
+    return f"a {len(text.lstrip('-'))}-character {type(value).__name__}"
 
 
 @dataclass

@@ -19,9 +19,6 @@ from cachenet.optimizer import (
     Placement,
     average_hops,
     check_feasibility,
-    evaluate_objective,
-    exact_solve,
-    placement_cost,
     solve,
 )
 from cachenet.simnet import (
@@ -36,7 +33,7 @@ from cachenet.simnet import (
     run_epoch,
     seed_streams,
 )
-from util import nearest_assignment, random_instance
+from util import evaluate_objective, exact_solve, nearest_assignment, placement_cost, random_instance
 
 
 def report(criterion, ok, detail):

@@ -13,8 +13,6 @@ from cachenet.optimizer import (
     Placement,
     SolveResult,
     check_feasibility,
-    exact_solve,
-    placement_cost,
     solve,
 )
 from cachenet.simnet import (
@@ -26,7 +24,7 @@ from cachenet.simnet import (
     build_instance,
     run_simulation,
 )
-from util import random_instance
+from util import exact_solve, placement_cost, random_instance
 
 
 def log_with_counts(counts):

@@ -299,6 +299,23 @@ class TestRecipes:
         assert raised.value.diagnostics == ["cache_fraction=0.01, scheme=OPTIMIZED and 49 more: "
                                             "nodes must be a 64-bit integer, got a 5001-digit int"]
 
+    @pytest.mark.parametrize("overrides,diagnostic", [
+        ({"values": [10**5000, "x"]}, "values: must be a list of numbers, got a 2-item list"),
+        ({"sweep": 10**5000}, "sweep: must be one of ('cache_fraction', 'alpha'), got a 5001-digit int"),
+    ], ids=["list", "sweep"])
+    def test_recipe_names_axis_beyond_str_digits(self, overrides, diagnostic):
+        """An axis holding an int too long for str() is named by its size, in one ConfigError line."""
+        with pytest.raises(ConfigError) as raised:
+            cache_size_sweep_spec(**overrides)
+        assert raised.value.diagnostics == [diagnostic]
+
+    @pytest.mark.parametrize("field", ["values", "seeds", "schemes", "output"])
+    def test_long_bad_list_named_briefly(self, field):
+        """A malformed list of 3,000 items gives one short diagnostic, not the list."""
+        with pytest.raises(ConfigError) as raised:
+            cache_size_sweep_spec(**{field: ["x"] * 3000})
+        assert len(raised.value.diagnostics) == 1 and len(str(raised.value)) <= 80
+
     def test_recipe_overrides_win(self):
         spec = demo_spec(seeds=[3], output="elsewhere")
         assert (spec.seeds, spec.output) == ([3], "elsewhere")
@@ -404,6 +421,16 @@ class TestCli:
             assert main(argv) == 1
             limit = sys.get_int_max_str_digits()
             assert capsys.readouterr().out == f"INVALID: {path}: an integer has more than {limit} digits\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_deeply_nested_spec_invalid(self, tmp_path, capsys):
+        """json gives up on deep nesting with a RecursionError: one INVALID
+        line and exit 1, for both verbs."""
+        path = tmp_path / "spec.json"
+        path.write_text("[" * 200_000)
+        for argv in (["validate", str(path)], ["run", str(path), "--output", str(tmp_path / "out")]):
+            assert main(argv) == 1
+            assert capsys.readouterr().out == f"INVALID: {path}: arrays or objects nested too deeply to parse\n"
         assert not (tmp_path / "out").exists()
 
     def test_demo_unwritable_output(self, tmp_path, capsys):

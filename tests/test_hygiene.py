@@ -61,6 +61,27 @@ def dead_private_names(sources: dict) -> list:
     return sorted(dead)
 
 
+def unread_public_names(package: dict, readers: dict) -> list:
+    """(module, name) for each public module-level function or class in
+    ``package`` (module -> source) that nothing reads. A read is a loaded
+    name or an attribute, in ``package`` or ``readers`` (name -> source),
+    outside the definition itself; ``__all__`` strings and imports, such as
+    ``__init__``'s re-exports, are not reads."""
+    defined, read = [], set()
+    for module, source in {**package, **readers}.items():
+        for stmt in ast.parse(source).body:
+            owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            if owner and module in package and not owner.startswith("_"):
+                defined.append((module, owner))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add((module, owner, node.id))
+                elif isinstance(node, ast.Attribute):
+                    read.add((module, owner, node.attr))
+    return sorted((module, name) for module, name in defined
+                  if not any(n == name and (m, o) != (module, name) for m, o, n in read))
+
+
 def tuple_index_add_at(source: str) -> list:
     """Lines of ``np.add.at`` calls given a tuple index, which leaves add.at's
     1-D fast path (about 5x slower at 512 x 800); a flat index into a
@@ -132,6 +153,28 @@ def test_no_dead_private_names():
     """Every module-level private name in ``src/cachenet`` has a reader in ``src/``."""
     sources = {p.name: p.read_text() for p in (ROOT / "src").rglob("*.py")}
     assert dead_private_names(sources) == []
+
+
+def test_detector_finds_unread_public_name():
+    package = {
+        "a.py": ("def used(): pass\ndef unused(): return unused()\nclass Shown: pass\nclass Kept: pass\n"
+                 "def _private(): pass\nKEEP = Kept\n__all__ = ['unused', 'Shown']\n"),
+        "__init__.py": "from .a import Shown, unused\n",
+    }
+    readers = {"demo.py": "import a\nprint(a.Shown)\n", "b.py": "from a import used\nused()\n"}
+    assert unread_public_names(package, readers) == [("a.py", "unused")]
+    assert unread_public_names(package, {}) == [("a.py", "Shown"), ("a.py", "unused"), ("a.py", "used")]
+
+
+def test_no_test_only_public_names():
+    """Every public module-level function or class in ``src/cachenet`` has a
+    reader in ``src/``, ``demos/`` or ``bench/``: code that only the tests
+    call belongs in ``tests/util.py``. The one exception is
+    ``simnet.deterministic_epoch``, the simulator mode criterion 3 checks."""
+    package = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    readers = {str(p.relative_to(ROOT)): p.read_text() for folder in ("demos", "bench")
+               for p in (ROOT / folder).glob("*.py")}
+    assert unread_public_names(package, readers) == [("simnet.py", "deterministic_epoch")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

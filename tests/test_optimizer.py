@@ -19,21 +19,24 @@ from cachenet.optimizer import (
     _gains,
     ORIGIN,
     Instance,
-    InstanceTooLargeError,
     Placement,
     average_hops,
     check_feasibility,
-    evaluate_objective,
-    exact_solve,
     greedy_solve,
     local_search,
     nearest_copy,
-    placement_cost,
-    placement_digest,
     solve,
 )
 from cachenet.simnet import NetworkState, apply_placement
-from util import nearest_assignment, random_instance
+from util import (
+    InstanceTooLargeError,
+    evaluate_objective,
+    exact_solve,
+    nearest_assignment,
+    placement_cost,
+    placement_digest,
+    random_instance,
+)
 
 
 def path_topology(n, origin_attach=0, penalty=3):

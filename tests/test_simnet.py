@@ -22,7 +22,6 @@ from cachenet.optimizer import (
     Instance,
     Placement,
     average_hops,
-    evaluate_objective,
     nearest_copy,
     solve,
 )
@@ -42,7 +41,7 @@ from cachenet.simnet import (
     run_epoch,
     run_simulation,
 )
-from util import nearest_assignment, nearest_supplier, random_instance, reference_next_hop
+from util import evaluate_objective, nearest_assignment, nearest_supplier, random_instance, reference_next_hop
 
 
 def path_instance(n, m, alpha=0.5, origin_attach=0, penalty=3, c_sum=0):
